@@ -28,7 +28,6 @@ from .benchmarks import (
 )
 from .geometry import RngStream
 from .regression import (
-    FactorizationError,
     NonsmoothModelError,
     cross_validate,
     eval_model,
@@ -71,7 +70,6 @@ _CELL_ERRORS = {
     DeltaZeroError: "delta-zero",
     AcceptanceCollapseError: "acceptance-collapse",
     NonsmoothModelError: "nonsmooth-model",
-    FactorizationError: "factorization-failure",
     GridResolutionError: "grid-resolution",
 }
 

@@ -112,10 +112,6 @@ class GaussianFactor:
         U, s, _ = np.linalg.svd(F, full_matrices=False)
         return cls(U * s)
 
-    @property
-    def rank(self) -> int:
-        return int(np.linalg.matrix_rank(self.columns)) if self.columns.size else 0
-
 
 def hyperplane_from_point_gradient(x, g) -> Neuron:
     """Hyperplane through ``x`` with normal along ``g``: ``(a, b) = (g, -x.g)/|g|``."""

@@ -1,10 +1,11 @@
 """Feature matrices, ridge solves, cross-validation, and model evaluation.
 
-The outer-weight problem is ``min_c ||Phi c - y||^2 / (2K) + alpha N |c|^2 / 2``
-whose solution can be written through either an N x N (primal) or K x K (dual)
-positive-definite system; both paths share one factorization kernel here.
+The outer-weight problem is ``min_c ||Phi c - y||^2 / (2K) + alpha N |c|^2 / 2``.
 Optional low-degree polynomial columns (constant for s=1, affine for s=2) are
-appended unregularized and eliminated by projection before the ridge solve.
+appended unregularized and eliminated by projection.  One thin SVD of the
+projected features ``F = U S V^T`` then gives the neuron weights for every
+alpha as the diagonal filter ``c = V diag(s / (s^2 + K alpha N)) U^T y``,
+whatever the shape of ``F``, without squaring its condition number.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ DEFAULT_ALPHA_GRID = np.logspace(0.0, -12.0, 25)  # descending, brackets both re
 
 class NonsmoothModelError(ValueError):
     """Model gradient requested for the Heaviside activation (s=1, delta=0)."""
-
-
-class FactorizationError(RuntimeError):
-    """Cholesky factorization failed; should be impossible for alpha > 0."""
 
 
 @dataclass(frozen=True)
@@ -88,51 +85,47 @@ def feature_matrix(
     return phi
 
 
-def _solve_spd(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - alpha > 0 prevents this
-        raise FactorizationError(str(exc)) from exc
+def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0) -> np.ndarray:
+    """Coefficients for every alpha, one column each, from one thin SVD.
 
-
-def ridge_solve(phi: np.ndarray, y: np.ndarray, alpha: float, n_poly: int = 0) -> np.ndarray:
-    """Solve the ridge problem; the last ``n_poly`` columns are unregularized.
-
-    Uses the primal N x N system when N <= K and the dual K x K system
-    otherwise.  The polynomial block is eliminated by projecting features and
-    targets onto its orthogonal complement, then recovered by least squares.
+    The last ``n_poly`` columns of ``phi`` are unregularized: features and
+    targets are projected onto their orthogonal complement for the ridge part,
+    and the polynomial part is recovered by least squares on the remainder.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
+    alphas = np.asarray(alphas, dtype=float)
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite inputs to ridge solve")
-    if not alpha > 0.0:
-        raise ValueError(f"regularization must be positive, got {alpha}")
+    if not np.all(alphas > 0.0):
+        raise ValueError(f"regularization must be positive, got {alphas}")
 
     K = phi.shape[0]
     n_neurons = phi.shape[1] - n_poly
     F = phi[:, :n_neurons]
     if n_poly:
-        P = phi[:, n_neurons:]
-        Q, Rfac = np.linalg.qr(P)
+        Q, Rfac = np.linalg.qr(phi[:, n_neurons:])
         F_perp = F - Q @ (Q.T @ F)
         y_perp = y - Q @ (Q.T @ y)
     else:
         F_perp, y_perp = F, y
 
-    if n_neurons <= K:
-        A = (F_perp.T @ F_perp) / K
-        A[np.diag_indices_from(A)] += alpha * n_neurons
-        c = _solve_spd(A, F_perp.T @ y_perp / K)
-    else:
-        A = (F_perp @ F_perp.T) / n_neurons
-        A[np.diag_indices_from(A)] += alpha * K
-        c = F_perp.T @ _solve_spd(A, y_perp) / n_neurons
-
+    U, sv, Vt = np.linalg.svd(F_perp, full_matrices=False)
+    filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)
+    C = Vt.T @ (filt * (U.T @ y_perp)[:, None])
     if not n_poly:
-        return c
-    q = scipy.linalg.solve_triangular(Rfac, Q.T @ (y - F @ c))
-    return np.concatenate([c, q])
+        return C
+    q = scipy.linalg.solve_triangular(Rfac, Q.T @ (y[:, None] - F @ C))
+    return np.vstack([C, q])
+
+
+def ridge_solve(phi: np.ndarray, y: np.ndarray, alpha: float, n_poly: int = 0) -> np.ndarray:
+    """Solve the ridge problem at one alpha; the last ``n_poly`` columns are unregularized.
+
+    This is the single-column case of the SVD path that :func:`cross_validate`
+    runs over its whole alpha grid.
+    """
+    return _ridge_path(phi, y, [alpha], n_poly)[:, 0]
 
 
 def rmse(pred, target) -> float:
@@ -151,10 +144,10 @@ def cross_validate(
 ) -> tuple[RidgeModel, FitReport]:
     """Grid-search the ridge parameter with the 5-percent rule.
 
-    For each alpha the weights are fitted on the training data only and the
-    error is evaluated on the training plus validation points.  The chosen
-    alpha is the largest grid value whose validation error is within 5% of
-    the smallest observed one.
+    The weights for every alpha come from one SVD of the training features,
+    and the error is evaluated on the training plus validation points.  The
+    chosen alpha is the largest grid value whose validation error is within 5%
+    of the smallest observed one.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     if grid.size == 0:
@@ -168,17 +161,12 @@ def cross_validate(
     phi_union = np.vstack([phi_train, phi_val])
     y_union = np.concatenate([ds_train.y, ds_val.y])
 
-    coefs = []
-    train_err = np.empty(grid.size)
-    val_err = np.empty(grid.size)
-    for i, alpha in enumerate(grid):
-        coef = ridge_solve(phi_train, ds_train.y, alpha, n_poly)
-        coefs.append(coef)
-        train_err[i] = rmse(phi_train @ coef, ds_train.y)
-        val_err[i] = rmse(phi_union @ coef, y_union)
+    coefs = _ridge_path(phi_train, ds_train.y, grid, n_poly)
+    train_err = np.sqrt(np.mean((phi_train @ coefs - ds_train.y[:, None]) ** 2, axis=0))
+    val_err = np.sqrt(np.mean((phi_union @ coefs - y_union[:, None]) ** 2, axis=0))
 
     chosen = int(np.argmax(val_err <= 1.05 * val_err.min()))  # first = largest alpha
-    coef = coefs[chosen]
+    coef = coefs[:, chosen].copy()
     n_neurons = len(neurons)
     model = RidgeModel(
         neurons=neurons,

@@ -273,10 +273,13 @@ def _mixing_row(X: np.ndarray, k: int, delta_w: float) -> np.ndarray:
 
 
 def _mixture_trace_weights(X: np.ndarray, sq_norms: np.ndarray, delta_w: float) -> np.ndarray:
-    """sqrt(tr C_k) with tr C_k = sum_k' w_{k,k'}^2 * sq_norms[k'], chunked in k."""
-    K = X.shape[0]
+    """sqrt(tr C_k) with tr C_k = sum_k' w_{k,k'}^2 * sq_norms[k'], chunked in k.
+
+    Each chunk's difference array holds at most 2**22 doubles (32 MB).
+    """
+    K, d = X.shape
     out = np.empty(K)
-    step = max(1, int(2**22 // max(K, 1)))
+    step = max(1, 2**22 // max(K * d, 1))
     for lo in range(0, K, step):
         hi = min(K, lo + step)
         dist = np.linalg.norm(X[lo:hi, None, :] - X[None, :, :], axis=2)
@@ -381,12 +384,6 @@ def eval_integral_density(
     return float(out[0]) if scalar else out
 
 
-def _uniform_proposals(d: int, R: float, n: int, rng: np.random.Generator):
-    A = _unit_rows(rng.standard_normal((n, d)), rng)
-    b = rng.uniform(-R, R, size=n)
-    return A, b
-
-
 def sample_integral_density(
     ds: DataSet,
     psi: PsiTable,
@@ -408,8 +405,8 @@ def sample_integral_density(
     if safety < 1.0:
         raise ValueError("safety factor must be >= 1")
     pilot_rng = rng.spawn(1)[0]
-    A_pilot, b_pilot = _uniform_proposals(ds.dim, ds.R, pilot_size, pilot_rng)
-    envelope = safety * float(np.max(eval_integral_density(ds, psi, A_pilot, b_pilot, rho_mode)))
+    pilot = sample_uniform(ds, pilot_size, pilot_rng)
+    envelope = safety * float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b, rho_mode)))
     if envelope <= 0.0:
         raise AllZeroGradientsError("integral density vanishes identically")
 
@@ -419,7 +416,8 @@ def sample_integral_density(
     n_accepted = 0
     n_proposed = 0
     while n_accepted < n:
-        A, b = _uniform_proposals(ds.dim, ds.R, batch, rng)
+        proposals = sample_uniform(ds, batch, rng)
+        A, b = proposals.a, proposals.b
         dens = eval_integral_density(ds, psi, A, b, rho_mode)
         peak = float(dens.max())
         if peak > envelope:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradfeat.activation import ActivationSpec
 from gradfeat.benchmarks import generate_dataset, make_benchmark
@@ -79,9 +81,7 @@ class TestRidgeSolve:
         phi = rng.standard_normal((K, N))
         y = rng.standard_normal(K)
         c_primal = ridge_solve(phi[:, :N], y, 1e-3)
-        # force the other branch by transposing roles: solve again via padded call
-        from gradfeat import regression
-
+        # the N x N (primal) and K x K (dual) normal equations give one answer
         F = phi
         A = (F.T @ F) / K + 1e-3 * N * np.eye(N)
         c_ref = np.linalg.solve(A, F.T @ y / K)
@@ -92,8 +92,8 @@ class TestRidgeSolve:
 
     @pytest.mark.parametrize("N", [40, 100])
     def test_poly_block_matches_normal_equations(self, N):
-        # both solver paths must agree with the dense block system in which
-        # only the neuron coefficients are penalized
+        # with N below and above K, the solve must agree with the dense block
+        # system in which only the neuron coefficients are penalized
         rng = np.random.default_rng(4)
         K, p = 60, 3
         alpha = 1e-4
@@ -176,6 +176,78 @@ class TestRidgeSolve:
         y_new = 0.7 - 2.0 * X_new[:, 0] + 0.25 * X_new[:, 2]
         model = RidgeModel(neurons=neurons, c=c[:25], poly=c[25:], activation=act)
         assert rmse(eval_model(model, X_new), y_new) <= 1e-8
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _poly_block(X: np.ndarray, n_poly: int) -> np.ndarray:
+    return np.hstack([np.ones((X.shape[0], 1)), X])[:, :n_poly]
+
+
+class TestRidgeProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(6, 40),
+        N=st.integers(1, 80),
+        d=st.integers(1, 4),
+        poly=st.sampled_from(["none", "constant", "affine"]),
+        log_alpha=st.floats(-6.0, 0.0),
+    )
+    def test_matches_projected_normal_equations(self, seed, K, N, d, poly, log_alpha):
+        rng = np.random.default_rng(seed)
+        n_poly = {"none": 0, "constant": 1, "affine": d + 1}[poly]
+        alpha = 10.0**log_alpha
+        F = rng.standard_normal((K, N))
+        P = _poly_block(rng.uniform(-0.5, 0.5, (K, d)), n_poly)
+        y = rng.standard_normal(K)
+        coef = ridge_solve(np.hstack([F, P]), y, alpha, n_poly)
+
+        Q = np.linalg.qr(P)[0]
+        F_perp = F - Q @ (Q.T @ F)
+        y_perp = y - Q @ (Q.T @ y)
+        A = F_perp.T @ F_perp / K + alpha * N * np.eye(N)
+        c_ref = np.linalg.solve(A, F_perp.T @ y_perp / K)
+        np.testing.assert_allclose(coef[:N], c_ref, rtol=1e-8, atol=1e-12)
+        if n_poly:
+            q_ref = np.linalg.lstsq(P, y - F @ coef[:N], rcond=None)[0]
+            np.testing.assert_allclose(coef[N:], q_ref, rtol=1e-8, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(8, 60),
+        N=st.integers(1, 80),
+        d=st.integers(1, 3),
+        activation=st.sampled_from([SIGMOID, RELU]),
+        include_poly=st.booleans(),
+    )
+    def test_cross_validate_errors_match_single_solves(
+        self, seed, K, N, d, activation, include_poly
+    ):
+        rng = np.random.default_rng(seed)
+        train = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=rng.standard_normal(K))
+        val = DataSet(X=rng.uniform(-0.5, 0.5, (K // 2, d)), y=rng.standard_normal(K // 2))
+        neurons = sample_uniform(train, N, rng)
+        _, report = cross_validate(train, val, neurons, activation, include_poly=include_poly)
+
+        n_poly = poly_width(activation, d, include_poly)
+        phi_train = feature_matrix(train.X, neurons, activation, include_poly)
+        phi_val = feature_matrix(val.X, neurons, activation, include_poly)
+        phi_union = np.vstack([phi_train, phi_val])
+        y_union = np.concatenate([train.y, val.y])
+        for i, alpha in enumerate(report.alpha_grid):
+            coef = ridge_solve(phi_train, train.y, alpha, n_poly)
+            for phi, y, got in (
+                (phi_train, train.y, report.train_rmse[i]),
+                (phi_union, y_union, report.val_rmse[i]),
+            ):
+                # near alpha = 1e-12 the coefficients grow large and the
+                # prediction is a cancelling sum, so two summation orders of
+                # the same product may differ by a few ulps of its terms
+                terms = rmse(np.abs(phi) @ np.abs(coef), 0.0)
+                assert got == pytest.approx(rmse(phi @ coef, y), rel=1e-12, abs=1e-13 * terms)
 
 
 class TestCrossValidate:
