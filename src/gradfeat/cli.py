@@ -187,12 +187,52 @@ def read_results_csv(path) -> list:
     return rows
 
 
-def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream) -> dict:
-    train, val, test = datasets[rep]
-    rng = master.child("cell", config.benchmark, label, n, rep).generator()
-    act = config.activation
-    grid = config.alpha_grid
+def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
+    """What the cells of a run share, keyed as ``run_experiment`` keys it.
 
+    Returns the master stream, the psi table (``None`` unless an
+    integral-density sampler needs one) and, per replicate, its
+    ``(train, test, fit)``: the datasets and the cross-validated fit on
+    (train, val), ``neurons -> (model, report)``.
+    """
+    bench = make_benchmark(config.benchmark, config.d)
+    master = RngStream(config.master_seed)
+    with_hessians = any(s.kind == "nonlocal-hessian" for s in specs)
+
+    def replicate(rep):
+        train, val, test = generate_dataset(
+            bench,
+            config.K,
+            sampling=config.sampling,
+            noise_sigma=config.noise_sigma,
+            rng=master.child("dataset", config.benchmark, rep).generator(),
+            test_size=config.test_size,
+            with_hessians=with_hessians,
+        )
+
+        def fit(neurons):
+            return cross_validate(
+                train, val, neurons, config.activation, config.alpha_grid,
+                include_poly=config.include_poly,
+            )
+
+        return train, test, fit
+
+    datasets = {rep: replicate(rep) for rep in reps}
+    psi_table = None
+    if any(s.kind == "integral-density" for s in specs):
+        psi_table = make_psi_table(config.s - 1, config.d, config.delta, radius=1.0)
+    return master, psi_table, datasets
+
+
+def _draw_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream):
+    """The neurons of cell (label, n, rep), drawn from the cell's own stream."""
+    train, _, fit = datasets[rep]
+    rng = master.child("cell", config.benchmark, label, n, rep).generator()
+    return draw(spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0])
+
+
+def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream) -> dict:
     row = {
         "benchmark": config.benchmark,
         "d": config.d,
@@ -207,25 +247,11 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
         "wall_ms": None,
         "status": "ok",
     }
-    reports = []
-
-    def fit(neurons):
-        model, report = cross_validate(
-            train, val, neurons, act, grid, include_poly=config.include_poly
-        )
-        reports.append((model, report))
-        return model
-
+    _, test, fit = datasets[rep]
     t0 = time.perf_counter()
     try:
-        result = draw(spec, train, n, rng, psi_table=psi_table, fit_callback=fit)
-        if result.model is not None:
-            model = result.model
-            report = next(rep_ for m, rep_ in reversed(reports) if m is model)
-        else:
-            model, report = cross_validate(
-                train, val, result.neurons, act, grid, include_poly=config.include_poly
-            )
+        result = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)
+        model, report = fit(result.neurons)
         row["alpha"] = report.alpha
         row["train_rmse"] = float(report.train_rmse[report.chosen_index])
         row["val_rmse"] = float(report.val_rmse[report.chosen_index])
@@ -239,32 +265,11 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
 
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the full grid; returns one row dict per (sampler, N, replicate) cell."""
-    bench = make_benchmark(config.benchmark, config.d)
     specs = [parse_sampler_entry(e, config) for e in config.samplers]
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise ConfigError("sampler labels collide; use distinct kinds")
-    need_hessians = any(s.kind == "nonlocal-hessian" for s in specs)
-
-    master = RngStream(config.master_seed)
-    datasets = []
-    for rep in range(config.replicates):
-        gen = master.child("dataset", config.benchmark, rep).generator()
-        datasets.append(
-            generate_dataset(
-                bench,
-                config.K,
-                sampling=config.sampling,
-                noise_sigma=config.noise_sigma,
-                rng=gen,
-                test_size=config.test_size,
-                with_hessians=need_hessians,
-            )
-        )
-
-    psi_table = None
-    if any(s.kind == "integral-density" for s in specs):
-        psi_table = make_psi_table(config.s - 1, config.d, config.delta, radius=1.0)
+    master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
 
     cells = [
         (label, spec, n, rep)
@@ -380,33 +385,10 @@ def write_convergence_svg(summary: list, path) -> None:
 
 
 def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path:
-    """Sample N neurons under the run's keying and write the plain-text table."""
-    bench = make_benchmark(config.benchmark, config.d)
+    """Write the neurons that replicate ``seed`` of a run draws for ``sampler`` at N=n."""
     spec = parse_sampler_entry(sampler, config)
-    master = RngStream(config.master_seed)
-    gen = master.child("dataset", config.benchmark, seed).generator()
-    train, val, _ = generate_dataset(
-        bench,
-        config.K,
-        sampling=config.sampling,
-        noise_sigma=config.noise_sigma,
-        rng=gen,
-        test_size=10,
-        with_hessians=spec.kind == "nonlocal-hessian",
-    )
-    psi_table = None
-    if spec.kind == "integral-density":
-        psi_table = make_psi_table(config.s - 1, config.d, config.delta, radius=1.0)
-
-    def fit(neurons):
-        model, _ = cross_validate(
-            train, val, neurons, config.activation, config.alpha_grid,
-            include_poly=config.include_poly,
-        )
-        return model
-
-    rng = master.child("cell", config.benchmark, spec.label, n, seed).generator()
-    result = draw(spec, train, n, rng, psi_table=psi_table, fit_callback=fit)
+    master, psi_table, datasets = _prepare(config, [spec], [seed])
+    result = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"

@@ -175,7 +175,7 @@ def test_criterion_06_kernel_oracle():
     with criterion(6, 60.0, "uniform-law kernel: 1-d closed form + radial structure"):
         heaviside = ActivationSpec(1, 0.0)
         ds = DataSet.minimal(1)
-        uniform = SamplerSpec.uniform()
+        uniform = SamplerSpec(kind="uniform")
         e1 = mc_kernel([0.5], [-0.5], uniform, ds, heaviside, 10**5, np.random.default_rng(601))
         assert abs(e1.value - 0.25) <= 3.0 * e1.stderr
         e2 = mc_kernel([0.0], [0.0], uniform, ds, heaviside, 10**5, np.random.default_rng(602))
@@ -303,9 +303,9 @@ def test_criterion_09_sampler_statistics():
         train, _, _ = generate_dataset(bench, 200, rng=np.random.default_rng(904), test_size=10)
         orth = np.array([np.sqrt(2.0), 1.0]) / np.sqrt(3.0)
         for spec in (
-            SamplerSpec.active_subspace(),
-            SamplerSpec.local_gradient(),
-            SamplerSpec.nonlocal_gradient(0.05),
+            SamplerSpec(kind="active-subspace"),
+            SamplerSpec(kind="local-gradient"),
+            SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         ):
             out = draw(spec, train, 400, np.random.default_rng(905)).neurons
             assert np.max(np.abs(out.a @ orth)) <= 1e-10, spec.kind

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from gradfeat import cli
 from gradfeat.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -249,6 +250,26 @@ class TestExportWeights:
         rows = np.loadtxt(path)
         counts, _ = np.histogram(rows[:, -1], bins=np.linspace(-1.0, 1.0, 11))
         assert chisquare(counts).pvalue > 0.01
+
+    def test_residual_weights_are_the_runs(self, tmp_path, monkeypatch):
+        # gauss1d is noisy, and its train noise is drawn after the test points:
+        # the residual stages match the run only if the dataset does in full
+        sampler = {"kind": "residual", "n0": 4}
+        cfg = load_config(small_config(tmp_path, samplers=[sampler], n_grid=[20]))
+        drawn = []
+        run_draw = cli.draw
+
+        def recording_draw(*args, **kwargs):
+            result = run_draw(*args, **kwargs)
+            drawn.append(result.neurons)
+            return result
+
+        monkeypatch.setattr(cli, "draw", recording_draw)
+        run_experiment(cfg)  # serial: one draw per replicate, in order
+        monkeypatch.undo()
+        rows = np.loadtxt(export_weights(cfg, sampler, 20, seed=1))
+        assert np.array_equal(rows[:, :1], drawn[1].a)
+        assert np.array_equal(rows[:, 1], drawn[1].b)
 
     def test_via_main(self, tmp_path):
         config_path = small_config(tmp_path)

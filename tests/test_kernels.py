@@ -12,7 +12,7 @@ from gradfeat.kernels import (
 from gradfeat.samplers import DataSet, SamplerSpec, sample_uniform
 
 HEAVISIDE = ActivationSpec(1, 0.0)
-UNIFORM = SamplerSpec.uniform()
+UNIFORM = SamplerSpec(kind="uniform")
 
 
 def closed_form_1d(x, xp, R=1.0):

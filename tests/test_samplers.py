@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp
 
 from gradfeat.activation import ActivationSpec, PsiTable, eval_bump, make_psi_table
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
+from gradfeat import samplers
 from gradfeat.regression import RidgeModel, eval_model_gradient
 from gradfeat.samplers import (
     AcceptanceCollapseError,
@@ -262,6 +265,69 @@ class TestNonlocalHessian:
             sample_nonlocal_hessian(ds, 3, 0.1, np.random.default_rng(0))
 
 
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def low_rank_factors(rng, K, d, r, hessian):
+    """Per-point factors whose columns all lie in the span of a d x r basis B."""
+    B = np.linalg.qr(rng.standard_normal((d, r)))[0]
+    if hessian:
+        M = rng.standard_normal((K, r, r))
+        return B, B @ (M + M.transpose(0, 2, 1)) @ B.T
+    return B, (rng.standard_normal((K, r)) @ B.T)[:, :, None]
+
+
+class TestNonlocalProperties:
+    """The shared nonlocal construction, for K x d x 1 and K x d x d factors."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 40),
+        d=st.integers(2, 5),
+        rank=st.data(),
+        n=st.integers(1, 50),
+        log_delta_w=st.floats(-2.5, 1.0),
+        hessian=st.booleans(),
+    )
+    def test_unit_directions_in_span_near_data(self, seed, K, d, rank, n, log_delta_w, hessian):
+        r = rank.draw(st.integers(1, d - 1), label="r")
+        rng = np.random.default_rng(seed)
+        B, F = low_rank_factors(rng, K, d, r, hessian)
+        X = rng.uniform(-1.0, 1.0, (K, d)) / np.sqrt(d)
+        delta_w = 10.0**log_delta_w
+        ns = samplers._sample_nonlocal(DataSet(X=X, y=np.zeros(K)), F, n, delta_w, rng)
+        assert np.max(np.abs(np.linalg.norm(ns.a, axis=1) - 1.0)) < 1e-12
+        off_span = ns.a - (ns.a @ B) @ B.T
+        assert np.max(np.linalg.norm(off_span, axis=1)) < 1e-10
+        slack = np.abs(ns.a @ X.T + ns.b[:, None]).min(axis=1)
+        assert np.max(slack) <= 6.0 * delta_w
+
+    def test_mixing_weights_match_pairwise_formula(self):
+        rng = np.random.default_rng(39)
+        X = rng.uniform(-0.5, 0.5, (50, 4))
+        delta_w = 0.03
+        dist = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
+        ref = np.exp(-dist / (2.0 * delta_w))
+        ref[ref < 1e-6] = 0.0
+        rows = rng.permutation(50)[:20]
+        w = samplers._mixing_weights(X, rows, delta_w)
+        np.testing.assert_allclose(w, ref[rows], rtol=1e-13, atol=0.0)
+        assert 0 < np.sum(ref[rows] == 0.0) < ref[rows].size
+
+    @pytest.mark.parametrize("hessian", [False, True])
+    def test_blocking_does_not_change_draws(self, monkeypatch, hessian):
+        rng = np.random.default_rng(37)
+        K, d = 30, 3
+        _, F = low_rank_factors(rng, K, d, 2, hessian)
+        ds = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=np.zeros(K))
+        whole = samplers._sample_nonlocal(ds, F, 20, 0.1, np.random.default_rng(38))
+        monkeypatch.setattr(samplers, "BLOCK_DOUBLES", 2 * K * F.shape[2] + 1)
+        blocked = samplers._sample_nonlocal(ds, F, 20, 0.1, np.random.default_rng(38))
+        assert np.allclose(blocked.a, whole.a, rtol=0.0, atol=1e-12)
+        assert np.allclose(blocked.b, whole.b, rtol=0.0, atol=1e-12)
+
+
 def gauss1d_dataset(K=1000):
     X = np.linspace(-1.0, 1.0, K)[:, None]
     f = np.exp(-50.0 * X[:, 0] ** 2)
@@ -412,12 +478,11 @@ class TestResidual:
             calls.append(len(neurons))
             return model
 
-        neurons, model = sample_residual(
-            train, SamplerSpec.local_gradient(), 50, 2.0, 8, fit, rng
+        neurons = sample_residual(
+            train, SamplerSpec(kind="local-gradient"), 50, 2.0, 8, fit, rng
         )
         assert len(neurons) == 50
-        assert calls == [8, 16, 32, 50]
-        assert len(model.neurons) == 50
+        assert calls == [8, 16, 32]
 
     def test_exact_fit_stops_early(self):
         rng = np.random.default_rng(28)
@@ -430,11 +495,11 @@ class TestResidual:
             activation=act,
         )
         ds = DataSet(X=X, y=np.zeros(40), G=eval_model_gradient(target, X))
-        neurons, model = sample_residual(
-            ds, SamplerSpec.local_gradient(), 64, 2.0, 8, lambda _: target, rng
+        neurons = sample_residual(
+            ds, SamplerSpec(kind="local-gradient"), 64, 2.0, 8, lambda _: target, rng
         )
+        assert isinstance(neurons, NeuronSet)
         assert len(neurons) == 8  # residual gradients vanished after stage 0
-        assert model is target
 
     def test_delta_zero_rejected(self):
         rng = np.random.default_rng(29)
@@ -447,14 +512,14 @@ class TestResidual:
         )
         with pytest.raises(DeltaZeroError):
             sample_residual(
-                ds, SamplerSpec.local_gradient(), 32, 2.0, 8, lambda _: heaviside_model, rng
+                ds, SamplerSpec(kind="local-gradient"), 32, 2.0, 8, lambda _: heaviside_model, rng
             )
 
     def test_bad_base_rejected(self):
         rng = np.random.default_rng(30)
         ds = gradient_dataset(rng)
         with pytest.raises(ValueError):
-            sample_residual(ds, SamplerSpec.uniform(), 32, 2.0, 8, lambda n: None, rng)
+            sample_residual(ds, SamplerSpec(kind="uniform"), 32, 2.0, 8, lambda n: None, rng)
 
 
 class TestSamplerSpec:
@@ -462,15 +527,16 @@ class TestSamplerSpec:
         with pytest.raises(ValueError):
             SamplerSpec(kind="bogus")
         with pytest.raises(ValueError):
-            SamplerSpec.nonlocal_gradient(0.0)
+            SamplerSpec(kind="nonlocal-gradient", delta_w=0.0)
         with pytest.raises(ValueError):
-            SamplerSpec(kind="residual", base=SamplerSpec.uniform())
+            SamplerSpec(kind="residual", base=SamplerSpec(kind="uniform"))
         with pytest.raises(ValueError):
-            SamplerSpec.residual(SamplerSpec.local_gradient(), kappa=1.0)
+            SamplerSpec(kind="residual", base=SamplerSpec(kind="local-gradient"), kappa=1.0)
 
     def test_labels(self):
-        assert SamplerSpec.uniform().label == "uniform"
-        spec = SamplerSpec.residual(SamplerSpec.nonlocal_gradient(0.1))
+        assert SamplerSpec(kind="uniform").label == "uniform"
+        base = SamplerSpec(kind="nonlocal-gradient", delta_w=0.1)
+        spec = SamplerSpec(kind="residual", base=base)
         assert spec.label == "residual-nonlocal-gradient"
 
 
@@ -478,10 +544,10 @@ class TestDrawDispatcher:
     def test_seed_replay_identical(self):
         ds = planar_wave_dataset(K=100, seed=31)
         specs = [
-            SamplerSpec.uniform(),
-            SamplerSpec.active_subspace(),
-            SamplerSpec.local_gradient(),
-            SamplerSpec.nonlocal_gradient(0.05),
+            SamplerSpec(kind="uniform"),
+            SamplerSpec(kind="active-subspace"),
+            SamplerSpec(kind="local-gradient"),
+            SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         ]
         for spec in specs:
             a = draw(spec, ds, 50, np.random.default_rng(99)).neurons
@@ -492,10 +558,10 @@ class TestDrawDispatcher:
     def test_missing_extras_rejected(self):
         ds = planar_wave_dataset(K=50, seed=32)
         with pytest.raises(ValueError):
-            draw(SamplerSpec.integral_density(), ds, 5, np.random.default_rng(0))
+            draw(SamplerSpec(kind="integral-density"), ds, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             draw(
-                SamplerSpec.residual(SamplerSpec.local_gradient()),
+                SamplerSpec(kind="residual", base=SamplerSpec(kind="local-gradient")),
                 ds,
                 5,
                 np.random.default_rng(0),
@@ -511,9 +577,9 @@ class TestSupportCondition:
     def test_range_and_offset(self, kind):
         ds = planar_wave_dataset(K=150, seed=33)
         spec = {
-            "active-subspace": SamplerSpec.active_subspace(),
-            "local-gradient": SamplerSpec.local_gradient(),
-            "nonlocal-gradient": SamplerSpec.nonlocal_gradient(0.05),
+            "active-subspace": SamplerSpec(kind="active-subspace"),
+            "local-gradient": SamplerSpec(kind="local-gradient"),
+            "nonlocal-gradient": SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         }[kind]
         ns = draw(spec, ds, 300, np.random.default_rng(34)).neurons
         orth = np.array([np.sqrt(2.0), 1.0]) / np.sqrt(3.0)
