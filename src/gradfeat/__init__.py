@@ -13,10 +13,8 @@ from .benchmarks import Benchmark, generate_dataset, make_benchmark
 from .geometry import (
     AffineMap,
     GaussianFactor,
-    Neuron,
     NeuronSet,
     RngStream,
-    hyperplane_from_point_gradient,
     sample_acg,
     standardize,
 )

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 END_DECAY_TOL = 1e-8
+MAX_TABLE_POINTS = 2**23  # make_psi_table gives up beyond this grid size
 
 
 class GridResolutionError(ValueError):
@@ -175,9 +176,7 @@ def build_psi_table(m: int, d: int, delta: float, T: float) -> PsiTable:
     return PsiTable(m=m, d=d, delta=delta, grid=grid, values=vals)
 
 
-def make_psi_table(
-    m: int, d: int, delta: float, radius: float, max_points: int = 2**23
-) -> PsiTable:
+def make_psi_table(m: int, d: int, delta: float, radius: float) -> PsiTable:
     """Build a table wide enough for data in a ball of ``radius``.
 
     Starts at ``T = radius + 10*delta`` and doubles ``T`` until the end-decay
@@ -191,10 +190,10 @@ def make_psi_table(
             return build_psi_table(m, d, delta, T)
         except GridResolutionError:
             T *= 2.0
-            if 32.0 * T / delta > max_points:
+            if 32.0 * T / delta > MAX_TABLE_POINTS:
                 raise GridResolutionError(
                     f"psi table for (m={m}, d={d}, delta={delta}) does not "
-                    f"decay within {max_points} grid points"
+                    f"decay within {MAX_TABLE_POINTS} grid points"
                 )
 
 

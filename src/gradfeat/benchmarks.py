@@ -31,6 +31,10 @@ class UnknownBenchmarkError(ValueError):
     """Unsupported (name, dimension) combination."""
 
 
+class GridSizeError(ValueError):
+    """Grid sampling in d >= 2 with a ``K`` that is not an exact ``m**d``."""
+
+
 @dataclass(frozen=True)
 class Benchmark:
     """Test function on a raw box: f, grad f, optionally hess f and a mask of
@@ -358,7 +362,13 @@ def _grid_points(box: np.ndarray, K: int) -> np.ndarray:
     d = box.shape[0]
     if d == 1:
         return np.linspace(box[0, 0], box[0, 1], K)[:, None]
-    m = max(2, round(K ** (1.0 / d)))  # nearest tensor grid; count becomes m^d
+    m = round(K ** (1.0 / d))
+    if m**d != K:
+        below = m if m**d < K else m - 1
+        nearest = [c**d for c in (below, below + 1) if c >= 2]
+        raise GridSizeError(
+            f"grid sampling in d={d} needs K = m**d points; K={K} is not, nearest {nearest}"
+        )
     axes = [np.linspace(lo, hi, m) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
@@ -380,7 +390,8 @@ def generate_dataset(
     inverse of the standardization (exact chain rule).  The validation set has
     the same law as training (for grid sampling, the same abscissas with fresh
     noise); the test set is always an independent uniform draw with clean
-    targets, of size ``test_size`` (default K).
+    targets, of size ``test_size`` (default K).  Grid sampling in d >= 2 needs
+    ``K = m**d`` exactly and raises :class:`GridSizeError` otherwise.
     """
     if K < 10:
         raise ValueError("need K >= 10")
@@ -426,14 +437,3 @@ def generate_dataset(
     test = build(X_test_raw, 0.0, 0)
     return train, val, test
 
-
-def dump_dataset_csv(ds: DataSet, path) -> None:
-    """Write one split as CSV with header ``x_1,...,x_d,y,g_1,...,g_d``."""
-    d = ds.dim
-    header = ",".join([f"x_{j+1}" for j in range(d)] + ["y"] + [f"g_{j+1}" for j in range(d)])
-    G = ds.G if ds.G is not None else np.full_like(ds.X, np.nan)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(ds.n_points):
-            row = np.concatenate([ds.X[i], [ds.y[i]], G[i]])
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

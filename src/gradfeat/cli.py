@@ -21,6 +21,7 @@ import numpy as np
 
 from .activation import ActivationSpec, GridResolutionError, make_psi_table
 from .benchmarks import (
+    GridSizeError,
     UnknownBenchmarkError,
     generate_dataset,
     make_benchmark,
@@ -39,7 +40,6 @@ from .samplers import (
     DeltaZeroError,
     MissingGradientsError,
     MissingHessiansError,
-    MissingRhoError,
     SamplerSpec,
     ZeroTraceError,
     draw,
@@ -64,7 +64,6 @@ CSV_COLUMNS = (
 _CELL_ERRORS = {
     MissingGradientsError: "missing-gradients",
     MissingHessiansError: "missing-hessians",
-    MissingRhoError: "missing-rho",
     AllZeroGradientsError: "all-zero-gradients",
     ZeroTraceError: "zero-trace",
     DeltaZeroError: "delta-zero",
@@ -113,9 +112,12 @@ class ExperimentConfig:
         data = dict(data)
         act = data.pop("activation", None)
         if act is not None:
-            data.setdefault("s", act.get("s", 1))
-            if act.get("delta") is not None:
-                data.setdefault("delta", act["delta"])
+            if not isinstance(act, dict) or set(act) - {"s", "delta"}:
+                raise ConfigError(f"activation takes only 's' and 'delta', got {act!r}")
+            both = sorted(set(act) & set(data))
+            if both:
+                raise ConfigError(f"{both} given both at top level and under activation")
+            data.update(act)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -506,7 +508,7 @@ def main(argv=None) -> int:
             for name, dims in supported_benchmarks().items():
                 print(f"{name}: d in {list(dims)}")
             return 0
-    except (ConfigError, UnknownBenchmarkError) as exc:
+    except (ConfigError, UnknownBenchmarkError, GridSizeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -10,13 +10,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
-
-
-class DegenerateGradientError(ValueError):
-    """Gradient too close to zero to define a hyperplane normal."""
 
 
 class ZeroCovarianceError(ValueError):
@@ -27,20 +23,8 @@ class EmptyBoxError(ValueError):
     """A standardization box has zero width in some coordinate."""
 
 
-@dataclass(frozen=True)
-class Neuron:
-    """Unit direction ``a`` and offset ``b`` of the hyperplane ``a.x + b = 0``."""
-
-    a: np.ndarray
-    b: float
-
-
-class NeuronSet(Sequence):
-    """A batch of neurons stored as arrays ``a`` (N x d) and ``b`` (N,).
-
-    Behaves as an immutable sequence of :class:`Neuron`; samplers and the
-    regression layer operate on the arrays directly.
-    """
+class NeuronSet:
+    """A batch of hyperplanes ``a.x + b = 0``: unit normals ``a`` (N x d), offsets ``b`` (N,)."""
 
     __slots__ = ("a", "b")
 
@@ -52,26 +36,12 @@ class NeuronSet(Sequence):
         self.a = a
         self.b = b
 
-    @classmethod
-    def from_neurons(cls, neurons: Iterable[Neuron]) -> "NeuronSet":
-        neurons = list(neurons)
-        return cls(np.array([n.a for n in neurons]), np.array([n.b for n in neurons]))
-
     @property
     def dim(self) -> int:
         return self.a.shape[1]
 
     def __len__(self) -> int:
         return self.a.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice) or isinstance(i, np.ndarray):
-            return NeuronSet(self.a[i], self.b[i])
-        return Neuron(self.a[i].copy(), float(self.b[i]))
-
-    def __iter__(self) -> Iterator[Neuron]:
-        for i in range(len(self)):
-            yield self[i]
 
     def concat(self, other: "NeuronSet") -> "NeuronSet":
         return NeuronSet(np.vstack([self.a, other.a]), np.concatenate([self.b, other.b]))
@@ -113,15 +83,21 @@ class GaussianFactor:
         return cls(U * s)
 
 
-def hyperplane_from_point_gradient(x, g) -> Neuron:
-    """Hyperplane through ``x`` with normal along ``g``: ``(a, b) = (g, -x.g)/|g|``."""
-    x = np.asarray(x, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    nrm = np.linalg.norm(g)
-    if nrm <= 1e-14 * (1.0 + np.linalg.norm(x)):
-        raise DegenerateGradientError(f"gradient norm {nrm:g} too small at x = {x}")
-    a = g / nrm
-    return Neuron(a=a, b=float(-a @ x))
+def unit_rows(draw: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """The rows of ``draw(np.arange(n))`` divided by their norms.
+
+    ``draw(idx)`` returns one candidate row per index in ``idx``.  Rows whose
+    norm is below 1e-300 are drawn again by passing only their indices, until
+    none is left; a NaN norm fails that test, so a NaN row is kept.
+    """
+    Z = draw(np.arange(n))
+    norms = np.linalg.norm(Z, axis=1)
+    bad = np.flatnonzero(norms < 1e-300)
+    while bad.size:
+        Z[bad] = draw(bad)
+        norms[bad] = np.linalg.norm(Z[bad], axis=1)
+        bad = bad[norms[bad] < 1e-300]
+    return Z / norms[:, None]
 
 
 def sample_acg(factor: GaussianFactor, rng: np.random.Generator, size: int | None = None):
@@ -129,22 +105,13 @@ def sample_acg(factor: GaussianFactor, rng: np.random.Generator, size: int | Non
 
     Forms ``z = F xi`` with standard normal ``xi`` and returns ``z / |z|``,
     which lies on the unit sphere intersected with ``range(F)``.  Draws with
-    ``|z| < 1e-300`` are rejected and redrawn.
+    ``|z| < 1e-300`` are redrawn (:func:`unit_rows`).
     """
     F = factor.columns
     if not np.any(F):
         raise ZeroCovarianceError("all factor columns are zero")
     n = 1 if size is None else int(size)
-    out = np.empty((n, F.shape[0]))
-    filled = 0
-    while filled < n:
-        xi = rng.standard_normal((n - filled, F.shape[1]))
-        z = xi @ F.T
-        norms = np.linalg.norm(z, axis=1)
-        ok = norms >= 1e-300
-        kept = z[ok] / norms[ok, None]
-        out[filled : filled + kept.shape[0]] = kept
-        filled += kept.shape[0]
+    out = unit_rows(lambda idx: rng.standard_normal((idx.size, F.shape[1])) @ F.T, n)
     return out[0] if size is None else out
 
 

@@ -15,6 +15,10 @@ All strategies draw i.i.d. hyperplanes (a, b) with unit normal ``a``:
 * ``residual``           -- stagewise resampling from the gradients of the
                             current fit's residual
 
+Every unit normal drawn from a Gaussian-type proposal (uniform, active
+subspace, nonlocal) goes through ``geometry.unit_rows``, which redraws only
+the rows whose norm is below 1e-300 and then divides by the norms.
+
 The two nonlocal samplers share one construction over per-point factors
 ``F_k``: K x d x 1 for gradients and K x d x d for Hessians.  The spatial
 mixing weights are ``w(x, x') = exp(-|x - x'| / (2 delta_w))``, set to zero
@@ -37,13 +41,14 @@ from typing import Callable
 import numpy as np
 
 from .activation import PsiTable, eval_psi
-from .geometry import GaussianFactor, NeuronSet, sample_acg
+from .geometry import GaussianFactor, NeuronSet, sample_acg, unit_rows
 from .regression import RidgeModel, eval_model_gradient
 
 logger = logging.getLogger(__name__)
 
 WEIGHT_TRUNCATION = 1e-6
 BLOCK_DOUBLES = 2**15  # 256 KB: a block and its distance buffer stay in L2
+PILOT_SIZE = 10**4  # uniform proposals that calibrate the rejection envelope
 SAMPLER_KINDS = (
     "uniform",
     "active-subspace",
@@ -61,10 +66,6 @@ class MissingGradientsError(ValueError):
 
 class MissingHessiansError(ValueError):
     """Sampler needs Hessian data but the dataset has none."""
-
-
-class MissingRhoError(ValueError):
-    """rho_mode='known' but the dataset carries no density values."""
 
 
 class AllZeroGradientsError(ValueError):
@@ -154,7 +155,6 @@ class SamplerSpec:
     kappa: float = 2.0
     n0: int = 8
     base: "SamplerSpec | None" = None
-    rho_mode: str = "constant"
 
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
@@ -165,8 +165,6 @@ class SamplerSpec:
         if self.kind == "integral-density":
             if self.safety < 1.0:
                 raise ValueError("safety factor must be >= 1")
-            if self.rho_mode not in ("known", "constant"):
-                raise ValueError(f"unknown rho_mode {self.rho_mode!r}")
         if self.kind == "residual":
             if self.base is None or self.base.kind not in ("local-gradient", "nonlocal-gradient"):
                 raise ValueError("residual base must be local-gradient or nonlocal-gradient")
@@ -192,18 +190,9 @@ def uniform_parameter_density(d: int, R: float) -> float:
     return 1.0 / (2.0 * R * sphere_surface_area(d))
 
 
-def _unit_rows(Z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    norms = np.linalg.norm(Z, axis=1)
-    while np.any(norms < 1e-300):
-        bad = norms < 1e-300
-        Z[bad] = rng.standard_normal((int(bad.sum()), Z.shape[1]))
-        norms = np.linalg.norm(Z, axis=1)
-    return Z / norms[:, None]
-
-
 def sample_uniform(ds: DataSet, n: int, rng: np.random.Generator) -> NeuronSet:
     """a uniform on the sphere (normalized Gaussian), b uniform on [-R, R]."""
-    A = _unit_rows(rng.standard_normal((n, ds.dim)), rng)
+    A = unit_rows(lambda idx: rng.standard_normal((idx.size, ds.dim)), n)
     b = rng.uniform(-ds.R, ds.R, size=n)
     return NeuronSet(A, b)
 
@@ -291,13 +280,12 @@ def _sample_nonlocal(
     step = max(1, BLOCK_DOUBLES // (K * r))
     for lo in range(0, n, step):
         W = _mixing_weights(ds.X, ks[lo : lo + step], delta_w)
-        V = A[lo : lo + step]
-        redraw = np.ones(len(W), dtype=bool)
-        while np.any(redraw):
-            xi = rng.standard_normal((int(redraw.sum()), K, r))
-            V[redraw] = (W[redraw, :, None] * xi).reshape(-1, K * r) @ Ft
-            redraw = np.linalg.norm(V, axis=1) < 1e-300
-    A /= np.linalg.norm(A, axis=1)[:, None]
+
+        def mixed(idx):
+            xi = rng.standard_normal((idx.size, K, r))
+            return (W[idx, :, None] * xi).reshape(-1, K * r) @ Ft
+
+        A[lo : lo + step] = unit_rows(mixed, len(W))
     b = -np.sum(A * ds.X[ks], axis=1) + delta_w * rng.standard_normal(n)
     return NeuronSet(A, b)
 
@@ -319,35 +307,25 @@ def sample_nonlocal_hessian(
     return _sample_nonlocal(ds, ds.H, n, delta_w, rng)
 
 
-def _resolve_rho(ds: DataSet, rho_mode: str) -> np.ndarray | float:
-    if rho_mode == "known":
-        if ds.rho is None:
-            raise MissingRhoError("rho_mode='known' but dataset has no density values")
-        return ds.rho
-    if rho_mode == "constant":
-        return 1.0
-    raise ValueError(f"unknown rho_mode {rho_mode!r}")
-
-
-def eval_integral_density(
-    ds: DataSet, psi: PsiTable, a, b, rho_mode: str = "constant"
-) -> float | np.ndarray:
+def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
     """Data estimate of the representation density,
     ``|1/K sum_k (a.g_k) psi(a.x_k + b) / rho(x_k)|``.
 
-    Accepts a single ``(a, b)`` or batches with ``a`` of shape (n, d) and
-    ``b`` of shape (n,).
+    ``rho`` is the dataset's stored sampling density, or 1 when it has none;
+    a constant ``rho`` only scales the estimate.  Accepts a single ``(a, b)``
+    or batches with ``a`` of shape (n, d) and ``b`` of shape (n,).
     """
     G = _require_gradients(ds)
-    rho = _resolve_rho(ds, rho_mode)
+    rho = 1.0 if ds.rho is None else ds.rho
     a = np.asarray(a, dtype=float)
     scalar = a.ndim == 1
     A = np.atleast_2d(a)
     B = np.atleast_1d(np.asarray(b, dtype=float))
-    args = A @ ds.X.T + B[:, None]
-    vals = eval_psi(psi, args)
-    proj = A @ G.T
-    out = np.abs(np.mean(proj * vals / rho, axis=1))
+    vals = eval_psi(psi, A @ ds.X.T + B[:, None])
+    terms = A @ G.T
+    terms *= vals
+    terms /= rho  # in place: dividing by an array makes no n x K temporary
+    out = np.abs(np.mean(terms, axis=1))
     return float(out[0]) if scalar else out
 
 
@@ -357,13 +335,11 @@ def sample_integral_density(
     n: int,
     safety: float,
     rng: np.random.Generator,
-    rho_mode: str = "constant",
-    pilot_size: int = 10**4,
 ) -> tuple[NeuronSet, float]:
     """Rejection sampling of the integral density under a pilot-calibrated envelope.
 
-    The envelope is ``safety`` times the density maximum over uniform pilot
-    proposals (drawn from a dedicated sub-stream).  If a later proposal
+    The envelope is ``safety`` times the density maximum over ``PILOT_SIZE``
+    uniform pilot proposals (drawn from a dedicated sub-stream).  If a later proposal
     exceeds the envelope, the envelope is doubled and collection restarts.
     Raises :class:`AcceptanceCollapseError` when fewer than one in 1e4
     proposals is accepted over a 1e6-proposal window.  Returns the accepted
@@ -372,8 +348,8 @@ def sample_integral_density(
     if safety < 1.0:
         raise ValueError("safety factor must be >= 1")
     pilot_rng = rng.spawn(1)[0]
-    pilot = sample_uniform(ds, pilot_size, pilot_rng)
-    envelope = safety * float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b, rho_mode)))
+    pilot = sample_uniform(ds, PILOT_SIZE, pilot_rng)
+    envelope = safety * float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b)))
     if envelope <= 0.0:
         raise AllZeroGradientsError("integral density vanishes identically")
 
@@ -385,7 +361,7 @@ def sample_integral_density(
     while n_accepted < n:
         proposals = sample_uniform(ds, batch, rng)
         A, b = proposals.a, proposals.b
-        dens = eval_integral_density(ds, psi, A, b, rho_mode)
+        dens = eval_integral_density(ds, psi, A, b)
         peak = float(dens.max())
         if peak > envelope:
             envelope *= 2.0
@@ -509,9 +485,7 @@ def draw(
             raise ValueError(
                 f"psi table order {psi_table.m} does not match sampler order {spec.order_m}"
             )
-        neurons, rate = sample_integral_density(
-            ds, psi_table, n, spec.safety, rng, rho_mode=spec.rho_mode
-        )
+        neurons, rate = sample_integral_density(ds, psi_table, n, spec.safety, rng)
         return DrawResult(neurons, accept_rate=rate)
     if spec.kind == "residual":
         if fit_callback is None:

@@ -39,6 +39,8 @@ from gradfeat.samplers import (
     sample_uniform,
 )
 
+pytestmark = pytest.mark.acceptance
+
 
 @contextmanager
 def criterion(cid, budget_s, detail=""):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gradfeat.benchmarks import (
+    GridSizeError,
     UnknownBenchmarkError,
-    dump_dataset_csv,
     generate_dataset,
     huber,
     huber_prime,
@@ -123,6 +123,15 @@ class TestGenerateDataset:
         pts = _grid_points(np.array([[-1.0, 1.0]]), 5).ravel()
         assert np.allclose(pts, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    def test_grid_needs_exact_power(self):
+        bench = make_benchmark("planar_wave")
+        with pytest.raises(GridSizeError, match=r"\[961, 1024\]"):
+            generate_dataset(bench, 1000, "grid", rng=np.random.default_rng(3), test_size=10)
+        train, val, _ = generate_dataset(
+            bench, 1024, "grid", rng=np.random.default_rng(3), test_size=10
+        )
+        assert train.n_points == val.n_points == 1024
+
     def test_noise_free_targets(self):
         bench = make_benchmark("planar_wave")
         rng = np.random.default_rng(4)
@@ -180,16 +189,3 @@ class TestGenerateDataset:
         train, _, _ = generate_dataset(bench, 30, rng=rng, test_size=10)
         side = np.sqrt(2.0)
         assert np.allclose(train.rho, 1.0 / side**2)
-
-    def test_csv_dump(self, tmp_path):
-        bench = make_benchmark("planar_wave")
-        rng = np.random.default_rng(10)
-        train, _, _ = generate_dataset(bench, 20, noise_sigma=0.0, rng=rng, test_size=10)
-        path = tmp_path / "train.csv"
-        dump_dataset_csv(train, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x_1,x_2,y,g_1,g_2"
-        assert len(lines) == 21
-        parsed = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.array_equal(parsed[:, :2], train.X)
-        assert np.array_equal(parsed[:, 3:], train.G)

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gradfeat import cli
@@ -64,6 +68,20 @@ class TestConfig:
              "activation": {"s": 2, "delta": 0.01}}
         )
         assert cfg.s == 2 and cfg.delta == 0.01
+
+    def test_unknown_activation_key_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"benchmark": "gauss1d", "d": 1, "n_grid": [5],
+                 "activation": {"s": 2, "detla": 0.5}}
+            )
+
+    def test_activation_key_at_both_levels_rejected(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(
+                {"benchmark": "gauss1d", "d": 1, "n_grid": [5], "s": 1,
+                 "activation": {"s": 2}}
+            )
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -148,6 +166,35 @@ class TestRunExperiment:
             assert r1["test_rmse"] == r2["test_rmse"]
 
 
+FLOAT_COLUMNS = ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms")
+
+
+class TestResultsCsv:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "benchmark": st.sampled_from(["gauss1d", "borehole"]),
+                    "d": st.integers(1, 10),
+                    "sampler": st.sampled_from(["uniform", "residual-local-gradient"]),
+                    "N": st.integers(1, 10**4),
+                    "replicate": st.integers(0, 100),
+                    "status": st.sampled_from(["ok", *cli._CELL_ERRORS.values()]),
+                    **{c: st.none() | st.floats(allow_nan=False, allow_infinity=False)
+                       for c in FLOAT_COLUMNS},
+                }
+            ),
+            max_size=8,
+        )
+    )
+    def test_round_trip_at_17_digits(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "results.csv"
+            write_results_csv(rows, path)
+            assert read_results_csv(path) == rows
+
+
 class TestSummarize:
     def test_single_row(self):
         row = {
@@ -207,6 +254,10 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="not-a-benchmark")
+        assert main(["run", str(config_path)]) == 1
+
+    def test_grid_size_exit_code(self, tmp_path):
+        config_path = small_config(tmp_path, benchmark="planar_wave", d=2, K=1000)
         assert main(["run", str(config_path)]) == 1
 
     def test_failed_cells_exit_code(self, tmp_path):

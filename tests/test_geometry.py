@@ -1,44 +1,64 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
 from gradfeat.geometry import (
-    DegenerateGradientError,
     EmptyBoxError,
     GaussianFactor,
     NeuronSet,
     RngStream,
     ZeroCovarianceError,
-    hyperplane_from_point_gradient,
     sample_acg,
     standardize,
+    unit_rows,
 )
 
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+EPS = np.finfo(float).eps
 
-class TestHyperplane:
-    def test_through_origin(self):
-        n = hyperplane_from_point_gradient([0.0, 0.0], [0.0, 2.0])
-        assert np.allclose(n.a, [0.0, 1.0])
-        assert n.b == 0.0
 
-    def test_normalization_and_offset(self):
-        n = hyperplane_from_point_gradient([1.0, 0.0], [3.0, 0.0])
-        assert np.allclose(n.a, [1.0, 0.0])
-        assert n.b == pytest.approx(-1.0)
+class TestUnitRows:
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 30),
+        d=st.integers(1, 5),
+        rounds=st.integers(1, 3),
+    )
+    def test_redraws_only_degenerate_rows(self, seed, n, d, rounds):
+        # the first `rounds` calls return zero rows at random positions
+        rng = np.random.default_rng(seed)
+        calls, zeroed = [], []
 
-    def test_defining_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            g = rng.standard_normal(4)
-            n = hyperplane_from_point_gradient(x, g)
-            assert abs(n.a @ x + n.b) < 1e-12
-            assert abs(np.linalg.norm(n.a) - 1.0) < 1e-12
+        def draw(idx):
+            calls.append(idx.copy())
+            Z = rng.standard_normal((idx.size, d))
+            if len(calls) <= rounds:
+                zero = idx[rng.random(idx.size) < 0.5] if len(calls) > 1 else idx[::2]
+                Z[np.isin(idx, zero)] = 0.0
+                zeroed.append(zero)
+            return Z
 
-    def test_degenerate_gradient(self):
-        with pytest.raises(DegenerateGradientError):
-            hyperplane_from_point_gradient([1.0, 2.0], [0.0, 0.0])
+        A = unit_rows(draw, n)
+        assert np.array_equal(calls[0], np.arange(n))
+        for passed, zero in zip(calls[1:], zeroed):
+            assert np.array_equal(passed, zero)
+        assert len(calls) == len(zeroed) + (zeroed[-1].size > 0)
+        assert np.allclose(np.linalg.norm(A, axis=1), 1.0, rtol=0.0, atol=4 * EPS)
+
+    def test_nan_row_is_not_redrawn(self):
+        calls = []
+
+        def draw(idx):
+            calls.append(idx)
+            return np.array([[np.nan, 0.0], [3.0, 4.0]])[idx]
+
+        A = unit_rows(draw, 2)
+        assert len(calls) == 1
+        assert np.all(np.isnan(A[0])) and np.array_equal(A[1], [0.6, 0.8])
 
 
 class TestSampleACG:
@@ -130,6 +150,44 @@ class TestStandardize:
             fd = (f(xp) - f(xm)) / (2.0 * h)
             assert fd == pytest.approx(g_std[0, j], rel=1e-6)
 
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        lo=st.floats(-1e3, 1e3),
+        log_width=st.floats(-3.0, 3.0),
+    )
+    def test_round_trip_property(self, seed, d, lo, log_width):
+        rng = np.random.default_rng(seed)
+        lows = lo + rng.uniform(-1.0, 1.0, d)
+        box = np.stack([lows, lows + 10.0**log_width * rng.uniform(0.5, 2.0, d)], axis=1)
+        X = rng.uniform(box[:, 0], box[:, 1], size=(20, d))
+        Z, tf = standardize(X, box)
+        assert np.max(np.linalg.norm(Z, axis=1)) <= 1.0 + 1e-12
+        scale = np.abs(box).sum(axis=1)
+        assert np.all(np.abs(tf.inverse(Z) - X) <= 4 * EPS * scale)
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        lo=st.floats(-1e3, 1e3),
+        log_width=st.floats(-3.0, 3.0),
+    )
+    def test_push_gradient_chain_rule(self, seed, d, lo, log_width):
+        # f(x) = w.x + c is affine, so f(x(z)) is affine in z with gradient
+        # push_gradient(w) and differences are exact up to rounding
+        rng = np.random.default_rng(seed)
+        lows = lo + rng.uniform(-1.0, 1.0, d)
+        box = np.stack([lows, lows + 10.0**log_width * rng.uniform(0.5, 2.0, d)], axis=1)
+        w = rng.standard_normal(d)
+        _, tf = standardize(box.T, box)
+        z1, z2 = rng.uniform(-1.0, 1.0, (2, 5, d)) / np.sqrt(d)
+        g = tf.push_gradient(np.tile(w, (5, 1)))
+        df = tf.inverse(z2) @ w - tf.inverse(z1) @ w
+        scale = np.abs(w) @ np.abs(box).sum(axis=1)
+        assert np.all(np.abs(df - np.sum(g * (z2 - z1), axis=1)) <= 16 * EPS * scale)
+
     def test_empty_box(self):
         with pytest.raises(EmptyBoxError):
             standardize(np.zeros((1, 2)), [[0.0, 1.0], [2.0, 2.0]])
@@ -159,13 +217,8 @@ class TestNeuronSet:
     def test_sequence_protocol(self):
         ns = NeuronSet(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5]))
         assert len(ns) == 2
-        assert ns[1].b == -0.5
-        assert np.allclose(ns[1].a, [0.0, 1.0])
         both = ns.concat(ns)
         assert len(both) == 4
-        rebuilt = NeuronSet.from_neurons(list(ns))
-        assert np.array_equal(rebuilt.a, ns.a)
-        assert np.array_equal(rebuilt.b, ns.b)
 
     def test_mismatched_lengths(self):
         with pytest.raises(ValueError):

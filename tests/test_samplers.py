@@ -17,7 +17,6 @@ from gradfeat.samplers import (
     DeltaZeroError,
     MissingGradientsError,
     MissingHessiansError,
-    MissingRhoError,
     SamplerSpec,
     ZeroTraceError,
     draw,
@@ -359,7 +358,7 @@ class TestIntegralDensity:
 
         bs = np.linspace(-0.9, 0.9, 25)
         disc = np.array(
-            [eval_integral_density(ds, psi, np.array([1.0]), b, "known") for b in bs]
+            [eval_integral_density(ds, psi, np.array([1.0]), b) for b in bs]
         )
         cont = np.array(
             [abs(quad(integrand, -1.0, 1.0, args=(b,), limit=300)[0]) for b in bs]
@@ -369,9 +368,7 @@ class TestIntegralDensity:
     def test_peaks_at_inflection_offsets(self, psi):
         ds = gauss1d_dataset()
         bs = np.linspace(-1.0, 1.0, 801)
-        vals = eval_integral_density(
-            ds, psi, np.tile([[1.0]], (bs.size, 1)), bs, "known"
-        )
+        vals = eval_integral_density(ds, psi, np.tile([[1.0]], (bs.size, 1)), bs)
         pos = bs[np.argmax(vals * (bs > 0))]
         neg = bs[np.argmax(vals * (bs < 0))]
         assert abs(pos - 0.1) < 0.02 and abs(neg + 0.1) < 0.02
@@ -385,11 +382,6 @@ class TestIntegralDensity:
             m_plus = eval_integral_density(ds, psi, np.array([1.0]), b)
             m_minus = eval_integral_density(ds, psi, np.array([-1.0]), -b)
             assert m_plus == pytest.approx(m_minus, abs=1e-12)
-
-    def test_missing_rho(self, psi):
-        ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.ones((2, 1)))
-        with pytest.raises(MissingRhoError):
-            eval_integral_density(ds, psi, np.array([1.0]), 0.0, "known")
 
 
 def flat_psi_table(T=2.0, value=1.0):
@@ -426,7 +418,7 @@ class TestSampleIntegralDensity:
         counts, _ = np.histogram(t, bins=edges)
         # the density varies on scale delta << bin width; integrate it per bin
         fine = np.linspace(-1.0, 1.0, 8001)
-        dens = eval_integral_density(ds, psi, np.ones((fine.size, 1)), fine, "constant")
+        dens = eval_integral_density(ds, psi, np.ones((fine.size, 1)), fine)
         mass = np.array(
             [
                 np.trapezoid(dens[(fine >= lo) & (fine <= hi)], dx=fine[1] - fine[0])
