@@ -38,6 +38,7 @@ from .samplers import (
     AcceptanceCollapseError,
     AllZeroGradientsError,
     DeltaZeroError,
+    KIND_FIELDS,
     MissingGradientsError,
     MissingHessiansError,
     SamplerSpec,
@@ -100,12 +101,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.delta is None:
             self.delta = 1.0 / 80.0 if self.d == 1 else 1.0 / 40.0
+        try:
+            self.activation = ActivationSpec(s=self.s, delta=self.delta)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad activation: {exc}") from exc
         if self.delta_w is None:
             self.delta_w = 2.0 * self.delta
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
             raise ConfigError("n_grid must be nonempty and ascending")
+        if self.n_grid[0] < 1:
+            raise ConfigError(f"n_grid values must be >= 1, got {self.n_grid}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -127,32 +134,38 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @property
-    def activation(self) -> ActivationSpec:
-        return ActivationSpec(s=self.s, delta=self.delta)
-
 
 def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
-    """Build a SamplerSpec from a config entry (string shorthand or mapping)."""
+    """Build a SamplerSpec from a config entry: a kind name, or a mapping with
+    ``kind`` and any of the fields that kind reads (``KIND_FIELDS``).
+
+    A field the entry leaves out takes its value from the config: ``delta_w``
+    the config's ``delta_w``, ``order_m`` the activation's ``s - 1`` and
+    ``base`` ``"local-gradient"``; ``safety``, ``kappa`` and ``n0`` keep the
+    ``SamplerSpec`` defaults.  A ``base`` is itself an entry.  Any other key,
+    even one set to its default, and an ``order_m`` other than ``s - 1`` are
+    config errors.
+    """
     if isinstance(entry, str):
         entry = {"kind": entry}
-    if not isinstance(entry, dict) or "kind" not in entry:
+    if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
         raise ConfigError(f"bad sampler entry {entry!r}")
-    entry = dict(entry)
-    kind = entry.pop("kind")
+    kind = entry["kind"]
+    if kind not in KIND_FIELDS:
+        raise ConfigError(f"unknown sampler kind {kind!r}")
+    reads = KIND_FIELDS[kind]
+    extra = sorted(set(entry) - {"kind", *reads})
+    if extra:
+        raise ConfigError(f"sampler {kind!r} takes only {list(reads)}, got {extra}")
+    defaults = {"delta_w": config.delta_w, "order_m": config.s - 1, "base": "local-gradient"}
+    fields = {f: defaults[f] for f in reads if f in defaults}
+    fields.update((k, v) for k, v in entry.items() if k != "kind")
+    if "order_m" in fields and fields["order_m"] != config.s - 1:
+        raise ConfigError(f"integral-density order_m must be s - 1 = {config.s - 1}")
+    if "base" in fields:
+        fields["base"] = parse_sampler_entry(fields["base"], config)
     try:
-        if kind in ("nonlocal-gradient", "nonlocal-hessian"):
-            entry.setdefault("delta_w", config.delta_w)
-            return SamplerSpec(kind=kind, **entry)
-        if kind == "integral-density":
-            entry.setdefault("order_m", config.s - 1)
-            return SamplerSpec(kind=kind, **entry)
-        if kind == "residual":
-            base = entry.pop("base", "local-gradient")
-            return SamplerSpec(
-                kind=kind, base=parse_sampler_entry(base, config), **entry
-            )
-        return SamplerSpec(kind=kind, **entry)
+        return SamplerSpec(kind=kind, **fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad sampler entry {entry!r}: {exc}") from exc
 
@@ -167,11 +180,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(rows: list, path) -> None:
+def _write_csv(rows: list, columns: tuple, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
+
+def write_results_csv(rows: list, path) -> None:
+    _write_csv(rows, CSV_COLUMNS, path)
 
 
 def read_results_csv(path) -> list:
@@ -295,15 +312,8 @@ def run_experiment(config: ExperimentConfig) -> list:
 
 def summarize(rows: list) -> list:
     """Per-(sampler, N) medians and quartiles of the test error over ok cells."""
-    keys = []
-    seen = set()
-    for row in rows:
-        key = (row["benchmark"], row["sampler"], row["N"])
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
     out = []
-    for bench, sampler, n in sorted(keys):
+    for bench, sampler, n in sorted({(r["benchmark"], r["sampler"], r["N"]) for r in rows}):
         group = [r for r in rows if (r["benchmark"], r["sampler"], r["N"]) == (bench, sampler, n)]
         ok = [r["test_rmse"] for r in group if r["status"] == "ok"]
         entry = {
@@ -333,10 +343,7 @@ SUMMARY_COLUMNS = (
 
 
 def write_summary_csv(summary: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in summary:
-            fh.write(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS) + "\n")
+    _write_csv(summary, SUMMARY_COLUMNS, path)
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -402,24 +409,10 @@ def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path
 # command line
 # ---------------------------------------------------------------------------
 
-_OVERRIDE_FLAGS = (
-    "benchmark",
-    "d",
-    "K",
-    "samplers",
-    "n_grid",
-    "replicates",
-    "activation.s",
-    "activation.delta",
-    "delta_w",
-    "alpha_grid",
-    "noise_sigma",
-    "sampling",
-    "test_size",
-    "master_seed",
-    "output_dir",
-    "workers",
-    "include_poly",
+# One flag per config field; the activation's own fields sit under its block.
+_OVERRIDE_FLAGS = tuple(
+    f"activation.{name}" if name in ("s", "delta") else name
+    for name in ExperimentConfig.__dataclass_fields__
 )
 
 

@@ -49,15 +49,17 @@ logger = logging.getLogger(__name__)
 WEIGHT_TRUNCATION = 1e-6
 BLOCK_DOUBLES = 2**15  # 256 KB: a block and its distance buffer stay in L2
 PILOT_SIZE = 10**4  # uniform proposals that calibrate the rejection envelope
-SAMPLER_KINDS = (
-    "uniform",
-    "active-subspace",
-    "local-gradient",
-    "nonlocal-gradient",
-    "nonlocal-hessian",
-    "integral-density",
-    "residual",
-)
+# The spec fields each sampler kind reads, in the order its sampler takes
+# them; config parsing, validation and dispatch all read this table.
+KIND_FIELDS = {
+    "uniform": (),
+    "active-subspace": (),
+    "local-gradient": (),
+    "nonlocal-gradient": ("delta_w",),
+    "nonlocal-hessian": ("delta_w",),
+    "integral-density": ("order_m", "safety"),
+    "residual": ("base", "kappa", "n0"),
+}
 
 
 class MissingGradientsError(ValueError):
@@ -157,15 +159,14 @@ class SamplerSpec:
     base: "SamplerSpec | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind not in SAMPLER_KINDS:
+        if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind in ("nonlocal-gradient", "nonlocal-hessian"):
-            if self.delta_w is None or not self.delta_w > 0.0:
-                raise ValueError(f"{self.kind} needs delta_w > 0")
-        if self.kind == "integral-density":
-            if self.safety < 1.0:
-                raise ValueError("safety factor must be >= 1")
-        if self.kind == "residual":
+        fields = KIND_FIELDS[self.kind]
+        if "delta_w" in fields and (self.delta_w is None or not self.delta_w > 0.0):
+            raise ValueError(f"{self.kind} needs delta_w > 0")
+        if "safety" in fields and self.safety < 1.0:
+            raise ValueError("safety factor must be >= 1")
+        if "base" in fields:
             if self.base is None or self.base.kind not in ("local-gradient", "nonlocal-gradient"):
                 raise ValueError("residual base must be local-gradient or nonlocal-gradient")
             if not self.kappa > 1.0:
@@ -178,16 +179,6 @@ class SamplerSpec:
         if self.kind == "residual":
             return f"residual-{self.base.kind}"
         return self.kind
-
-
-def sphere_surface_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-
-
-def uniform_parameter_density(d: int, R: float) -> float:
-    """Constant density 1/m_R of the uniform law, m_R = 2 R |S^(d-1)|."""
-    return 1.0 / (2.0 * R * sphere_surface_area(d))
 
 
 def sample_uniform(ds: DataSet, n: int, rng: np.random.Generator) -> NeuronSet:
@@ -416,42 +407,40 @@ _NEURON_SAMPLERS = {
 
 def _sample_base(spec: SamplerSpec, ds: DataSet, n: int, rng: np.random.Generator) -> NeuronSet:
     """The samplers that return only neurons, dispatched by kind."""
-    sample = _NEURON_SAMPLERS[spec.kind]
-    if spec.kind.startswith("nonlocal-"):
-        return sample(ds, n, spec.delta_w, rng)
-    return sample(ds, n, rng)
+    args = (getattr(spec, f) for f in KIND_FIELDS[spec.kind])
+    return _NEURON_SAMPLERS[spec.kind](ds, n, *args, rng)
 
 
 def sample_residual(
     ds: DataSet,
-    base: SamplerSpec,
+    spec: SamplerSpec,
     n_target: int,
-    kappa: float,
-    n0: int,
     fit_callback: Callable[[NeuronSet], RidgeModel],
     rng: np.random.Generator,
 ) -> NeuronSet:
     """Stagewise sampling from the gradients of the current fit's residual.
 
-    Stage 0 uses the data gradients.  Each later stage fits outer weights on
-    all neurons so far (via ``fit_callback``, which performs the full
-    cross-validated regression), subtracts the model gradient from the data
-    gradients, and samples the next batch from the residual gradients.  An
-    exactly fitted stage (all residual gradients zero) stops early.  The
-    final neurons are returned unfitted.
+    Stages draw from ``spec.base`` up to the cumulative sizes
+    ``residual_schedule(spec.kappa, spec.n0, n_target)``.  Stage 0 uses the
+    data gradients.  Each later stage fits outer weights on all neurons so
+    far (via ``fit_callback``, which performs the full cross-validated
+    regression), subtracts the model gradient from the data gradients, and
+    samples the next batch from the residual gradients.  An exactly fitted
+    stage (all residual gradients zero) stops early.  The final neurons are
+    returned unfitted.
     """
     _require_gradients(ds)
-    if base.kind not in ("local-gradient", "nonlocal-gradient"):
-        raise ValueError("residual base must be local-gradient or nonlocal-gradient")
-    counts = residual_schedule(kappa, n0, n_target)
-    neurons = _sample_base(base, ds, counts[0], rng)
+    if spec.kind != "residual":
+        raise ValueError(f"sample_residual needs a residual spec, got {spec.kind!r}")
+    counts = residual_schedule(spec.kappa, spec.n0, n_target)
+    neurons = _sample_base(spec.base, ds, counts[0], rng)
     for target in counts[1:]:
         model = fit_callback(neurons)
         if model.activation.s == 1 and model.activation.delta == 0.0:
             raise DeltaZeroError("residual stages need delta > 0 to evaluate model gradients")
         resid = ds.G - eval_model_gradient(model, ds.X)
         try:
-            fresh = _sample_base(base, ds.with_gradients(resid), target - len(neurons), rng)
+            fresh = _sample_base(spec.base, ds.with_gradients(resid), target - len(neurons), rng)
         except (AllZeroGradientsError, ZeroTraceError):
             logger.info("residual gradients vanished at N=%d; stopping early", len(neurons))
             break
@@ -490,9 +479,7 @@ def draw(
     if spec.kind == "residual":
         if fit_callback is None:
             raise ValueError("residual sampling needs a regression callback")
-        return DrawResult(
-            sample_residual(ds, spec.base, n, spec.kappa, spec.n0, fit_callback, rng)
-        )
+        return DrawResult(sample_residual(ds, spec, n, fit_callback, rng))
     return DrawResult(_sample_base(spec, ds, n, rng))
 
 

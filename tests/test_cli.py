@@ -1,3 +1,4 @@
+import argparse
 import json
 import tempfile
 from pathlib import Path
@@ -41,6 +42,18 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return path
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+# Each entry carries a key its kind does not read, or an order_m the
+# activation does not have; the second member is what the error names.
+BAD_SAMPLER_ENTRIES = [
+    ({"kind": "residual", "base": "nonlocal-gradient", "delta_w": 0.01}, "delta_w"),
+    ({"kind": "uniform", "safety": 3}, "safety"),
+    ({"kind": "uniform", "safety": 1.5}, "safety"),  # the default is rejected too
+    ({"kind": "integral-density", "order_m": 5}, "order_m"),
+]
 
 
 def strip_wall_ms(text: str) -> str:
@@ -90,6 +103,48 @@ class TestConfig:
     def test_n_grid_must_ascend(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[20, 10])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"activation": {"s": 3}}, {"activation": {"delta": -1.0}}, {"n_grid": [0]}],
+        ids=["s", "delta", "n_grid"],
+    )
+    def test_invalid_values_rejected(self, overrides):
+        data = {"benchmark": "gauss1d", "d": 1, "n_grid": [5], **overrides}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+
+    def test_every_field_has_an_override_flag(self):
+        parser = argparse.ArgumentParser()
+        cli._add_override_flags(parser)
+        dests = set(vars(parser.parse_args([])))
+        assert {"activation__s", "activation__delta"} <= dests
+        assert {d.rpartition("__")[2] for d in dests} == set(ExperimentConfig.__dataclass_fields__)
+
+    def test_committed_configs_parse(self):
+        assert CONFIGS
+        for path in CONFIGS:
+            cfg = load_config(path)
+            for entry in cfg.samplers:
+                parse_sampler_entry(entry, cfg)
+
+    @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES)
+    def test_sampler_entry_keys_checked(self, entry, key):
+        cfg = ExperimentConfig(benchmark="planar_wave", d=2, n_grid=[5], s=2)
+        with pytest.raises(ConfigError, match=key):
+            parse_sampler_entry(entry, cfg)
+
+    def test_residual_base_takes_its_own_width(self):
+        cfg = ExperimentConfig(benchmark="checkmark", d=3, n_grid=[5])
+        entry = {"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": 0.01}}
+        spec = parse_sampler_entry(entry, cfg)
+        assert spec.base.kind == "nonlocal-gradient" and spec.base.delta_w == 0.01
+        assert parse_sampler_entry("residual", cfg).base.kind == "local-gradient"
+
+    def test_integral_density_order_from_activation(self):
+        cfg = ExperimentConfig(benchmark="planar_wave", d=2, n_grid=[5], s=2)
+        assert parse_sampler_entry("integral-density", cfg).order_m == 1
+        assert parse_sampler_entry({"kind": "integral-density", "order_m": 1}, cfg).order_m == 1
 
     def test_sampler_entries(self):
         cfg = ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[5])
@@ -255,6 +310,20 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="not-a-benchmark")
         assert main(["run", str(config_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--activation.s", "3"], ["--activation.delta", "-1"], ["--n_grid", "[0]"]],
+        ids=["s", "delta", "n_grid"],
+    )
+    def test_bad_value_exit_code(self, tmp_path, flags):
+        assert main(["run", str(small_config(tmp_path)), *flags]) == 1
+
+    @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES)
+    def test_bad_sampler_entry_exit_code(self, tmp_path, capsys, entry, key):
+        config_path = small_config(tmp_path, samplers=[entry], activation={"s": 2})
+        assert main(["run", str(config_path)]) == 1
+        assert key in capsys.readouterr().err
 
     def test_grid_size_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="planar_wave", d=2, K=1000)

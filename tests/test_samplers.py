@@ -30,7 +30,6 @@ from gradfeat.samplers import (
     sample_nonlocal_hessian,
     sample_residual,
     sample_uniform,
-    uniform_parameter_density,
 )
 
 
@@ -69,9 +68,6 @@ class TestUniform:
         ns = sample_uniform(ds, 500, rng)
         assert np.max(np.abs(np.linalg.norm(ns.a, axis=1) - 1.0)) < 1e-12
         assert np.all(np.abs(ns.b) <= 1.0)
-
-    def test_density_constant(self):
-        assert uniform_parameter_density(2, 1.0) == pytest.approx(1.0 / (4.0 * np.pi))
 
     def test_offset_symmetry(self):
         rng = np.random.default_rng(1)
@@ -443,6 +439,11 @@ class TestSampleIntegralDensity:
             sample_integral_density(ds, flat_psi_table(), 5, 1.5, np.random.default_rng(0))
 
 
+RESIDUAL_LOCAL = SamplerSpec(
+    kind="residual", base=SamplerSpec(kind="local-gradient"), kappa=2.0, n0=8
+)
+
+
 class TestResidual:
     def test_schedule_arithmetic(self):
         assert residual_schedule(2.0, 8, 50) == [8, 16, 32, 50]
@@ -470,9 +471,7 @@ class TestResidual:
             calls.append(len(neurons))
             return model
 
-        neurons = sample_residual(
-            train, SamplerSpec(kind="local-gradient"), 50, 2.0, 8, fit, rng
-        )
+        neurons = sample_residual(train, RESIDUAL_LOCAL, 50, fit, rng)
         assert len(neurons) == 50
         assert calls == [8, 16, 32]
 
@@ -487,9 +486,7 @@ class TestResidual:
             activation=act,
         )
         ds = DataSet(X=X, y=np.zeros(40), G=eval_model_gradient(target, X))
-        neurons = sample_residual(
-            ds, SamplerSpec(kind="local-gradient"), 64, 2.0, 8, lambda _: target, rng
-        )
+        neurons = sample_residual(ds, RESIDUAL_LOCAL, 64, lambda _: target, rng)
         assert isinstance(neurons, NeuronSet)
         assert len(neurons) == 8  # residual gradients vanished after stage 0
 
@@ -503,15 +500,13 @@ class TestResidual:
             activation=ActivationSpec(1, 0.0),
         )
         with pytest.raises(DeltaZeroError):
-            sample_residual(
-                ds, SamplerSpec(kind="local-gradient"), 32, 2.0, 8, lambda _: heaviside_model, rng
-            )
+            sample_residual(ds, RESIDUAL_LOCAL, 32, lambda _: heaviside_model, rng)
 
     def test_bad_base_rejected(self):
         rng = np.random.default_rng(30)
         ds = gradient_dataset(rng)
         with pytest.raises(ValueError):
-            sample_residual(ds, SamplerSpec(kind="uniform"), 32, 2.0, 8, lambda n: None, rng)
+            sample_residual(ds, SamplerSpec(kind="uniform"), 32, lambda n: None, rng)
 
 
 class TestSamplerSpec:
