@@ -15,13 +15,16 @@ table (it is zero by parity when ``d`` is even).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 END_DECAY_TOL = 1e-8
 MAX_TABLE_POINTS = 2**23  # make_psi_table gives up beyond this grid size
+# Largest distance of a grid point from the uniform lattice, in spacings.
+# Anything below 1/2 keeps eval_psi's one fix-up step exact.
+UNIFORM_GRID_TOL = 1e-6
 
 
 class GridResolutionError(ValueError):
@@ -95,6 +98,13 @@ class PsiTable:
     by symmetrization, so antipodal identities hold to round-off).
     ``top_moment`` is the measured moment of order ``m + d - 1``, the first
     one the multiplier does not force to vanish.
+
+    The grid must be ascending, as long as ``values``, at least two points
+    long and uniform: every point lies within ``UNIFORM_GRID_TOL`` spacings
+    of the lattice ``grid[0] + i h``.  ``slope`` holds the per-interval
+    slopes ``diff(values) / diff(grid)`` (the formula ``np.interp`` uses),
+    computed once here, followed by ``-0.0`` for the last node, so that
+    ``eval_psi`` at ``t = T`` returns ``values[-1]`` with the sign of a zero.
     """
 
     m: int
@@ -102,6 +112,25 @@ class PsiTable:
     delta: float
     grid: np.ndarray
     values: np.ndarray
+    slope: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        grid = np.asarray(self.grid, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+            raise ValueError(
+                f"grid and values must be 1-d, of one length >= 2; got {grid.shape}, {values.shape}"
+            )
+        steps = np.diff(grid)
+        if not np.all(steps > 0.0):
+            raise ValueError("psi grid must be strictly ascending")
+        h = (grid[-1] - grid[0]) / (grid.size - 1)
+        lattice = grid[0] + h * np.arange(grid.size)
+        if not np.max(np.abs(grid - lattice)) <= UNIFORM_GRID_TOL * h:
+            raise ValueError(f"psi grid is not uniform to {UNIFORM_GRID_TOL:g} of its spacing")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "slope", np.append(np.diff(values) / steps, -0.0))
 
     @property
     def half_width(self) -> float:
@@ -198,8 +227,27 @@ def make_psi_table(m: int, d: int, delta: float, radius: float) -> PsiTable:
 
 
 def eval_psi(table: PsiTable, t) -> float | np.ndarray:
-    """Linear interpolation on the table grid; zero outside ``[-T, T]``."""
+    """Linear interpolation on the table grid; zero outside ``[-T, T]``.
+
+    The interval is looked up by index on the uniform grid: ``floor((t -
+    grid[0]) / h)``, clipped, then one step either way so that ``grid[j] <=
+    t < grid[j+1]``.  The value ``slope[j] (t - grid[j]) + values[j]`` is
+    ``np.interp``'s, bit for bit (a ``-0.0`` value at an interior node may
+    come back as ``+0.0``).  ``t = T`` gives ``values[-1]`` and NaN stays NaN.
+    """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    out = np.interp(t, table.grid, table.values, left=0.0, right=0.0)
-    return _maybe_scalar(out, scalar)
+    flat = t.reshape(-1)
+    grid = table.grid
+    lo, hi, last = grid[0], grid[-1], grid.size - 1
+    u = np.clip(flat, lo, hi)
+    s = u - lo
+    s *= last / (hi - lo)
+    np.fmin(s, last - 1, out=s)  # also maps NaN to a valid index
+    j = s.astype(np.intp)
+    j -= grid[j] > u
+    j += grid[j + 1] <= u
+    out = u - grid[j]
+    out *= table.slope[j]
+    out += table.values[j]
+    out[(flat < lo) | (flat > hi)] = 0.0
+    return _maybe_scalar(out.reshape(t.shape), t.ndim == 0)

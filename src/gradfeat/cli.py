@@ -113,6 +113,21 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be nonempty and ascending")
         if self.n_grid[0] < 1:
             raise ConfigError(f"n_grid values must be >= 1, got {self.n_grid}")
+        if self.K < 10:
+            raise ConfigError(f"K must be >= 10, got {self.K}")
+        if self.alpha_grid is not None:
+            try:
+                alphas = np.asarray(self.alpha_grid, dtype=float)
+            except ValueError:
+                alphas = np.array([np.nan])
+            if alphas.ndim != 1 or not alphas.size or not np.all(np.isfinite(alphas) & (alphas > 0)):
+                raise ConfigError(
+                    f"alpha_grid must be a nonempty list of finite values > 0, got {self.alpha_grid}"
+                )
+        if self.sampling not in ("grid", "uniform-random"):
+            raise ConfigError(f"sampling must be grid or uniform-random, got {self.sampling!r}")
+        if self.test_size < 1:
+            raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -29,6 +29,12 @@ planar_wave (d=2, K=1000), so it buys no sparsity.  Weights, normals and
 mixed factors are built in blocks of rows; a block holds at most
 ``BLOCK_DOUBLES = 2**15`` doubles (256 KB), or one row when a row alone is
 longer.
+
+The integral density evaluates its proposals against the K data points in
+row blocks of the same bound, but a block holds at least 2 rows (a K-long
+row pair when ``2 K > BLOCK_DOUBLES``), and a last block never holds a lone
+row.  Each row's mean is reduced on its own, so the blocks give the bits of
+one n x K evaluation.
 """
 
 from __future__ import annotations
@@ -304,7 +310,8 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
 
     ``rho`` is the dataset's stored sampling density, or 1 when it has none;
     a constant ``rho`` only scales the estimate.  Accepts a single ``(a, b)``
-    or batches with ``a`` of shape (n, d) and ``b`` of shape (n,).
+    or batches with ``a`` of shape (n, d) and ``b`` of shape (n,).  Batches
+    are evaluated in row blocks (see the module docstring).
     """
     G = _require_gradients(ds)
     rho = 1.0 if ds.rho is None else ds.rho
@@ -312,11 +319,21 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
     scalar = a.ndim == 1
     A = np.atleast_2d(a)
     B = np.atleast_1d(np.asarray(b, dtype=float))
-    vals = eval_psi(psi, A @ ds.X.T + B[:, None])
-    terms = A @ G.T
-    terms *= vals
-    terms /= rho  # in place: dividing by an array makes no n x K temporary
-    out = np.abs(np.mean(terms, axis=1))
+    n = A.shape[0]
+    step = max(2, BLOCK_DOUBLES // ds.n_points)
+    out = np.empty(n)
+    lo = 0
+    while lo < n:
+        # a lone last row joins its block: numpy sends a 1-row product down
+        # the matrix-vector path, whose sums round differently
+        hi = lo + step if n - lo - step >= 2 else n
+        Ab = A[lo:hi]
+        vals = eval_psi(psi, Ab @ ds.X.T + B[lo:hi, None])
+        terms = Ab @ G.T
+        terms *= vals
+        terms /= rho  # in place: dividing by an array makes no block-sized temporary
+        out[lo:hi] = np.abs(np.mean(terms, axis=1))
+        lo = hi
     return float(out[0]) if scalar else out
 
 

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gradfeat.activation import (
@@ -192,8 +195,83 @@ class TestEvalPsi:
         assert eval_psi(table, mid) == pytest.approx(expect, rel=1e-12)
 
 
-def test_psi_table_requires_positive_delta():
+LOOKUP_TABLE_KEYS = [(m, d) for m in (0, 1, 2) for d in (1, 2, 3)] + ["flat", "cos"]
+
+
+@functools.cache
+def lookup_table(key):
+    # the tables the samplers build for m in {0, 1, 2}, d in {1, 2, 3}, the
+    # np.linspace table of test_samplers.flat_psi_table, and a varying one on
+    # the same grid
+    if key in ("flat", "cos"):
+        grid = np.linspace(-2.0, 2.0, 101)
+        values = np.full(101, 1.0) if key == "flat" else np.cos(grid)
+        return PsiTable(m=0, d=1, delta=0.1, grid=grid, values=values)
+    m, d = key
+    return make_psi_table(m, d, 1.0 / 80.0 if d == 1 else 1.0 / 40.0, radius=1.0)
+
+
+@st.composite
+def psi_arguments(draw):
+    table = lookup_table(draw(st.sampled_from(LOOKUP_TABLE_KEYS)))
+    grid = table.grid
+    T = table.half_width
+    nodes = draw(st.lists(st.integers(0, grid.size - 1), min_size=1, max_size=30))
+    t = grid[nodes]
+    t = np.concatenate(
+        [
+            t,
+            np.nextafter(t, np.inf),
+            np.nextafter(t, -np.inf),
+            draw(st.lists(st.floats(-1.5 * T, 1.5 * T), max_size=30)),
+            [T, -T, np.nextafter(T, np.inf), -np.nextafter(T, np.inf), 2.0 * T, -3.0 * T],
+            [np.inf, -np.inf, np.nan],
+        ]
+    )
+    return table, draw(st.permutations(t))
+
+
+class TestEvalPsiProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(psi_arguments())
+    def test_matches_interp_bit_for_bit(self, case):
+        table, t = case
+        t = np.asarray(t, dtype=float)
+        if t.size % 2:
+            t = np.append(t, t[0])
+        t = t.reshape(2, -1)
+        ref = np.interp(t, table.grid, table.values, left=0.0, right=0.0)
+        with np.errstate(all="raise"):
+            got = eval_psi(table, t)
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        for x, r in zip(t[0, :5], ref[0, :5]):
+            one = eval_psi(table, np.float64(x))
+            assert isinstance(one, float)
+            assert np.array_equal(np.float64(one).view(np.int64), r.view(np.int64))
+
+
+def _uniform_grid(n=101):
+    return np.linspace(-2.0, 2.0, n)
+
+
+def _bumped_grid():
+    grid = _uniform_grid()
+    grid[50] += 1e-3 * (grid[1] - grid[0])
+    return grid
+
+
+@pytest.mark.parametrize(
+    "grid, values",
+    [
+        (_uniform_grid() ** 3 / 4.0, np.ones(101)),
+        (_bumped_grid(), np.ones(101)),
+        (_uniform_grid()[::-1], np.ones(101)),
+        (_uniform_grid(), np.ones(100)),
+        (_uniform_grid(1), np.ones(1)),
+    ],
+    ids=["non-uniform", "off-lattice-node", "descending", "length-mismatch", "one-point"],
+)
+def test_psi_table_rejects_bad_grid(grid, values):
     with pytest.raises(ValueError):
-        build_psi_table(0, 3, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        build_psi_table(3, 3, 0.1, 2.0)
+        PsiTable(m=0, d=1, delta=0.1, grid=grid, values=values)

@@ -106,8 +106,21 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"activation": {"s": 3}}, {"activation": {"delta": -1.0}}, {"n_grid": [0]}],
-        ids=["s", "delta", "n_grid"],
+        [
+            {"activation": {"s": 3}},
+            {"activation": {"delta": -1.0}},
+            {"n_grid": [0]},
+            {"K": 9},
+            {"alpha_grid": []},
+            {"alpha_grid": [1e-3, 0.0]},
+            {"alpha_grid": [float("inf")]},
+            {"sampling": "bogus"},
+            {"test_size": 0},
+        ],
+        ids=[
+            "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
+            "alpha_grid_inf", "sampling", "test_size",
+        ],
     )
     def test_invalid_values_rejected(self, overrides):
         data = {"benchmark": "gauss1d", "d": 1, "n_grid": [5], **overrides}
@@ -313,8 +326,21 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--activation.s", "3"], ["--activation.delta", "-1"], ["--n_grid", "[0]"]],
-        ids=["s", "delta", "n_grid"],
+        [
+            ["--activation.s", "3"],
+            ["--activation.delta", "-1"],
+            ["--n_grid", "[0]"],
+            ["--K", "0"],
+            ["--alpha_grid", "[]"],
+            ["--alpha_grid", "[0]"],
+            ["--alpha_grid", "[NaN]"],
+            ["--sampling", "bogus"],
+            ["--test_size", "0"],
+        ],
+        ids=[
+            "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
+            "alpha_grid_nan", "sampling", "test_size",
+        ],
     )
     def test_bad_value_exit_code(self, tmp_path, flags):
         assert main(["run", str(small_config(tmp_path)), *flags]) == 1

@@ -379,6 +379,31 @@ class TestIntegralDensity:
             m_minus = eval_integral_density(ds, psi, np.array([-1.0]), -b)
             assert m_plus == pytest.approx(m_minus, abs=1e-12)
 
+    @pytest.mark.parametrize("block_doubles, n", [(1, 301), (3 * 1000, 301), (32 * 1000, 301)])
+    def test_row_blocks_match_one_product(self, monkeypatch, block_doubles, n):
+        # 2-row blocks (the floor), 3-row blocks whose lone last row joins the
+        # block before it, and 32-row blocks with a ragged 13-row last block
+        train, _, _ = generate_dataset(
+            make_benchmark("planar_wave", 2), 1000, rng=np.random.default_rng(31), test_size=10
+        )
+        table = make_psi_table(1, 2, 1.0 / 40.0, radius=1.0)
+        proposals = sample_uniform(train, n, np.random.default_rng(32))
+        A, B = proposals.a, proposals.b
+
+        def one_product(A, B):
+            vals = np.interp(A @ train.X.T + B[:, None], table.grid, table.values, 0.0, 0.0)
+            terms = A @ train.G.T
+            terms *= vals
+            terms /= train.rho
+            return np.abs(np.mean(terms, axis=1))
+
+        monkeypatch.setattr(samplers, "BLOCK_DOUBLES", block_doubles)
+        got = eval_integral_density(train, table, A, B)
+        assert np.array_equal(got, one_product(A, B))
+        one = eval_integral_density(train, table, A[7], B[7])
+        assert isinstance(one, float)
+        assert one == one_product(A[7:8], B[7:8])[0]
+
 
 def flat_psi_table(T=2.0, value=1.0):
     # constant table => density |a . mean(g)| independent of (a, b) in 1-d
