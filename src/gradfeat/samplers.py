@@ -31,10 +31,11 @@ mixed factors are built in blocks of rows; a block holds at most
 longer.
 
 The integral density evaluates its proposals against the K data points in
-row blocks of the same bound, but a block holds at least 2 rows (a K-long
-row pair when ``2 K > BLOCK_DOUBLES``), and a last block never holds a lone
-row.  Each row's mean is reduced on its own, so the blocks give the bits of
-one n x K evaluation.
+row blocks of the same bound, except that a block holds at least 2 rows
+even when ``2 K > BLOCK_DOUBLES``, and a lone last row joins the block
+before it: numpy sends a 1-row product down its matrix-vector path, whose
+sums round differently.  Each row's mean is reduced on its own, so the
+blocks give the bits of one n x K evaluation.
 """
 
 from __future__ import annotations
@@ -324,8 +325,6 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
     out = np.empty(n)
     lo = 0
     while lo < n:
-        # a lone last row joins its block: numpy sends a 1-row product down
-        # the matrix-vector path, whose sums round differently
         hi = lo + step if n - lo - step >= 2 else n
         Ab = A[lo:hi]
         vals = eval_psi(psi, Ab @ ds.X.T + B[lo:hi, None])

@@ -195,6 +195,13 @@ class TestEvalPsi:
         assert eval_psi(table, mid) == pytest.approx(expect, rel=1e-12)
 
 
+def test_psi_table_requires_positive_delta():
+    with pytest.raises(ValueError):
+        build_psi_table(0, 3, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        build_psi_table(3, 3, 0.1, 2.0)
+
+
 LOOKUP_TABLE_KEYS = [(m, d) for m in (0, 1, 2) for d in (1, 2, 3)] + ["flat", "cos"]
 
 
