@@ -78,6 +78,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     benchmark: str
@@ -99,6 +103,9 @@ class ExperimentConfig:
     include_poly: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("d", "K", "replicates", "test_size", "master_seed", "workers"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.delta is None:
             self.delta = 1.0 / 80.0 if self.d == 1 else 1.0 / 40.0
         try:
@@ -109,8 +116,8 @@ class ExperimentConfig:
             self.delta_w = 2.0 * self.delta
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
-            raise ConfigError("n_grid must be nonempty and ascending")
+        if not self.n_grid or not all(map(_is_int, self.n_grid)) or np.any(np.diff(self.n_grid) <= 0):
+            raise ConfigError(f"n_grid must be strictly ascending integers, got {self.n_grid}")
         if self.n_grid[0] < 1:
             raise ConfigError(f"n_grid values must be >= 1, got {self.n_grid}")
         if self.K < 10:
@@ -124,10 +131,16 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"alpha_grid must be a nonempty list of finite values > 0, got {self.alpha_grid}"
                 )
+            if np.any(np.diff(alphas) >= 0):
+                raise ConfigError(f"alpha_grid must be strictly descending, got {self.alpha_grid}")
         if self.sampling not in ("grid", "uniform-random"):
             raise ConfigError(f"sampling must be grid or uniform-random, got {self.sampling!r}")
         if self.test_size < 1:
             raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

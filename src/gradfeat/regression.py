@@ -1,11 +1,12 @@
 """Feature matrices, ridge solves, cross-validation, and model evaluation.
 
 The outer-weight problem is ``min_c ||Phi c - y||^2 / (2K) + alpha N |c|^2 / 2``.
-Optional low-degree polynomial columns (constant for s=1, affine for s=2) are
-appended unregularized and eliminated by projection.  One thin SVD of the
-projected features ``F = U S V^T`` then gives the neuron weights for every
-alpha as the diagonal filter ``c = V diag(s / (s^2 + K alpha N)) U^T y``,
-whatever the shape of ``F``, without squaring its condition number.
+Optional polynomial columns ``P`` (constant for s=1, affine for s=2) are
+unregularized.  One R-only Householder QR of ``[P | F | y]`` eliminates them
+and leaves the ridge problem in blocks ``R_ff``, ``r_fy``; one SVD
+``R_ff = U S V^T`` gives the neuron weights for every alpha as the filter
+``c = V diag(s / (s^2 + K alpha N)) U^T r_fy`` without squaring the condition
+number, and the train error as ``||r_fy - R_ff c||`` with no K-row product.
 """
 
 from __future__ import annotations
@@ -85,12 +86,15 @@ def feature_matrix(
     return phi
 
 
-def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0) -> np.ndarray:
-    """Coefficients for every alpha, one column each, from one thin SVD.
+def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0):
+    """Coefficients for every alpha, one column each, and their train SSEs.
 
-    The last ``n_poly`` columns of ``phi`` are unregularized: features and
-    targets are projected onto their orthogonal complement for the ridge part,
-    and the polynomial part is recovered by least squares on the remainder.
+    ``R`` of ``[P | F | y]``, with ``P`` the last ``n_poly`` (unregularized)
+    columns of ``phi``, has ``R_pp``, ``R_pf``, ``r_py`` in its first ``n_poly``
+    rows and ``R_ff``, ``r_fy`` below.  One SVD of ``R_ff`` gives the neuron
+    weights ``C``, ``R_pp q = r_py - R_pf C`` the polynomial part, and
+    ``||r_fy - R_ff C||^2`` the train SSE; with ``n_poly = 0`` the ``P``
+    blocks are empty.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -100,32 +104,25 @@ def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0) -> np.n
     if not np.all(alphas > 0.0):
         raise ValueError(f"regularization must be positive, got {alphas}")
 
-    K = phi.shape[0]
-    n_neurons = phi.shape[1] - n_poly
-    F = phi[:, :n_neurons]
-    if n_poly:
-        Q, Rfac = np.linalg.qr(phi[:, n_neurons:])
-        F_perp = F - Q @ (Q.T @ F)
-        y_perp = y - Q @ (Q.T @ y)
-    else:
-        F_perp, y_perp = F, y
-
-    U, sv, Vt = np.linalg.svd(F_perp, full_matrices=False)
+    K, p = phi.shape[0], n_poly
+    n_neurons = phi.shape[1] - p
+    R = np.linalg.qr(np.hstack([phi[:, n_neurons:], phi[:, :n_neurons], y[:, None]]), mode="r")
+    R_ff, r_fy = R[p:, p:-1], R[p:, -1]
+    U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
     filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)
-    C = Vt.T @ (filt * (U.T @ y_perp)[:, None])
-    if not n_poly:
-        return C
-    q = scipy.linalg.solve_triangular(Rfac, Q.T @ (y[:, None] - F @ C))
-    return np.vstack([C, q])
+    C = Vt.T @ (filt * (U.T @ r_fy)[:, None])
+    sse = np.sum((r_fy[:, None] - R_ff @ C) ** 2, axis=0)
+    q = scipy.linalg.solve_triangular(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
+    return np.vstack([C, q]), sse
 
 
 def ridge_solve(phi: np.ndarray, y: np.ndarray, alpha: float, n_poly: int = 0) -> np.ndarray:
     """Solve the ridge problem at one alpha; the last ``n_poly`` columns are unregularized.
 
-    This is the single-column case of the SVD path that :func:`cross_validate`
+    This is the single-column case of the QR path that :func:`cross_validate`
     runs over its whole alpha grid.
     """
-    return _ridge_path(phi, y, [alpha], n_poly)[:, 0]
+    return _ridge_path(phi, y, [alpha], n_poly)[0][:, 0]
 
 
 def rmse(pred, target) -> float:
@@ -144,10 +141,10 @@ def cross_validate(
 ) -> tuple[RidgeModel, FitReport]:
     """Grid-search the ridge parameter with the 5-percent rule.
 
-    The weights for every alpha come from one SVD of the training features,
-    and the error is evaluated on the training plus validation points.  The
-    chosen alpha is the largest grid value whose validation error is within 5%
-    of the smallest observed one.
+    The weights and train errors for every alpha come from one QR path of the
+    training features, and the error is evaluated on the training plus
+    validation points.  The chosen alpha is the largest grid value whose
+    validation error is within 5% of the smallest observed one.
     """
     grid = DEFAULT_ALPHA_GRID if alpha_grid is None else np.asarray(alpha_grid, dtype=float)
     if grid.size == 0:
@@ -158,12 +155,11 @@ def cross_validate(
     n_poly = poly_width(activation, ds_train.X.shape[1], include_poly)
     phi_train = feature_matrix(ds_train.X, neurons, activation, include_poly)
     phi_val = feature_matrix(ds_val.X, neurons, activation, include_poly)
-    phi_union = np.vstack([phi_train, phi_val])
-    y_union = np.concatenate([ds_train.y, ds_val.y])
 
-    coefs = _ridge_path(phi_train, ds_train.y, grid, n_poly)
-    train_err = np.sqrt(np.mean((phi_train @ coefs - ds_train.y[:, None]) ** 2, axis=0))
-    val_err = np.sqrt(np.mean((phi_union @ coefs - y_union[:, None]) ** 2, axis=0))
+    coefs, sse_train = _ridge_path(phi_train, ds_train.y, grid, n_poly)
+    sse_val = np.sum((phi_val @ coefs - ds_val.y[:, None]) ** 2, axis=0)
+    train_err = np.sqrt(sse_train / len(ds_train.y))
+    val_err = np.sqrt((sse_train + sse_val) / (len(ds_train.y) + len(ds_val.y)))
 
     chosen = int(np.argmax(val_err <= 1.05 * val_err.min()))  # first = largest alpha
     coef = coefs[:, chosen].copy()

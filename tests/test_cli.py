@@ -116,10 +116,25 @@ class TestConfig:
             {"alpha_grid": [float("inf")]},
             {"sampling": "bogus"},
             {"test_size": 0},
+            {"alpha_grid": [1e-6, 1e-3, 1.0]},
+            {"alpha_grid": [1.0, 1.0]},
+            {"d": 1.0},
+            {"K": 1e3},
+            {"replicates": 1.5},
+            {"test_size": 2.5},
+            {"master_seed": 1.0},
+            {"master_seed": -1},
+            {"workers": 0},
+            {"workers": True},
+            {"n_grid": [5.0]},
+            {"n_grid": [10, 10]},
         ],
         ids=[
             "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
-            "alpha_grid_inf", "sampling", "test_size",
+            "alpha_grid_inf", "sampling", "test_size", "alpha_grid_ascending",
+            "alpha_grid_repeated", "d_float", "K_float", "replicates_float",
+            "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
+            "workers_bool", "n_grid_float", "n_grid_repeated",
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -336,10 +351,20 @@ class TestMain:
             ["--alpha_grid", "[NaN]"],
             ["--sampling", "bogus"],
             ["--test_size", "0"],
+            ["--alpha_grid", "[1e-6,1e-3,1]"],
+            ["--alpha_grid", "[1,1]"],
+            ["--K", "1e3"],
+            ["--replicates", "1.5"],
+            ["--test_size", "2.5"],
+            ["--master_seed", "-1"],
+            ["--n_grid", "[10,10]"],
+            ["--workers", "0"],
         ],
         ids=[
             "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
-            "alpha_grid_nan", "sampling", "test_size",
+            "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
+            "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
+            "master_seed_negative", "n_grid_repeated", "workers_zero",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, flags):
