@@ -45,6 +45,8 @@ from .samplers import (
     ZeroTraceError,
     draw,
     export_weights_text,
+    nonlocal_factor,
+    nonlocal_source_weights,
 )
 
 CSV_COLUMNS = (
@@ -239,12 +241,15 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
 
     Returns the master stream, the psi table (``None`` unless an
     integral-density sampler needs one) and, per replicate, its
-    ``(train, test, fit)``: the datasets and the cross-validated fit on
-    (train, val), ``neurons -> (model, report)``.
+    ``(train, test, fit, source_weights)``: the datasets, the cross-validated
+    fit on (train, val), ``neurons -> (model, report)``, and the nonlocal
+    source-point weights of the training set keyed by ``(kind, delta_w)``,
+    one for each nonlocal sampler, computed here so that the cells share them.
     """
     bench = make_benchmark(config.benchmark, config.d)
     master = RngStream(config.master_seed)
     with_hessians = any(s.kind == "nonlocal-hessian" for s in specs)
+    nonlocal_keys = {(s.kind, s.delta_w) for s in specs if s.kind.startswith("nonlocal-")}
 
     def replicate(rep):
         train, val, test = generate_dataset(
@@ -263,7 +268,11 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
                 include_poly=config.include_poly,
             )
 
-        return train, test, fit
+        source_weights = {
+            (kind, delta_w): nonlocal_source_weights(train, nonlocal_factor(train, kind), delta_w)
+            for kind, delta_w in nonlocal_keys
+        }
+        return train, test, fit, source_weights
 
     datasets = {rep: replicate(rep) for rep in reps}
     psi_table = None
@@ -274,9 +283,12 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
 
 def _draw_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream):
     """The neurons of cell (label, n, rep), drawn from the cell's own stream."""
-    train, _, fit = datasets[rep]
+    train, _, fit, source_weights = datasets[rep]
     rng = master.child("cell", config.benchmark, label, n, rep).generator()
-    return draw(spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0])
+    return draw(
+        spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0],
+        source_weights=source_weights.get((spec.kind, spec.delta_w)),
+    )
 
 
 def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream) -> dict:
@@ -294,7 +306,7 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
         "wall_ms": None,
         "status": "ok",
     }
-    _, test, fit = datasets[rep]
+    _, test, fit, _ = datasets[rep]
     t0 = time.perf_counter()
     try:
         result = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)

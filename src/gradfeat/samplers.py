@@ -28,7 +28,18 @@ pairs on borehole (d=8, K=5000), 1.2% on checkmark (d=3, K=2000) and 3.2% on
 planar_wave (d=2, K=1000), so it buys no sparsity.  Weights, normals and
 mixed factors are built in blocks of rows; a block holds at most
 ``BLOCK_DOUBLES = 2**15`` doubles (256 KB), or one row when a row alone is
-longer.
+longer.  ``_mixing_weights`` gets ``X`` in Fortran order, made once per pass
+rather than per block, so each coordinate it reads is a contiguous column.
+
+A draw picks its source points proportional to ``sqrt(tr C_k)``, which
+depends only on the points, the factors and ``delta_w``.
+``nonlocal_source_weights`` computes that vector in one K x K pass;
+``draw`` takes it as ``source_weights`` and otherwise computes it itself.
+The experiment harness makes the psi table once per run and the source-point
+weights once per replicate and (kind, ``delta_w``).  Residual stages compute
+their own at every stage, from the residual gradients.  Neither the sharing
+nor the column layout changes the arithmetic, so the draws are bit for bit
+those of computing everything per draw.
 
 The integral density evaluates its proposals against the K data points in
 row blocks of the same bound, except that a block holds at least 2 rows
@@ -235,7 +246,9 @@ def _mixing_weights(X: np.ndarray, rows, delta_w: float) -> np.ndarray:
     """``w(x_k, x')`` for the points ``k`` in ``rows`` against every point.
 
     The squared distances are summed one coordinate at a time, so no array
-    holds more than ``len(X[rows]) * K`` doubles.
+    holds more than ``len(X[rows]) * K`` doubles.  Callers pass ``X`` in
+    Fortran order, so that each coordinate ``X[:, j]`` is a contiguous column;
+    the layout does not change the bits.
     """
     Xr = X[rows]
     sq = np.zeros((Xr.shape[0], X.shape[0]))
@@ -247,37 +260,65 @@ def _mixing_weights(X: np.ndarray, rows, delta_w: float) -> np.ndarray:
     return w
 
 
+def nonlocal_factor(ds: DataSet, kind: str) -> np.ndarray:
+    """The per-point factors ``F_k`` of a nonlocal ``kind``: the gradients as
+    K x d x 1 for ``nonlocal-gradient``, the Hessians K x d x d otherwise."""
+    if kind == "nonlocal-gradient":
+        return _require_gradients(ds)[:, :, None]
+    if ds.H is None:
+        raise MissingHessiansError("dataset has no Hessian data")
+    return ds.H
+
+
+def nonlocal_source_weights(ds: DataSet, F: np.ndarray, delta_w: float) -> np.ndarray:
+    """``sqrt(tr C_k)`` with ``tr C_k = sum_k' w_{k,k'}^2 |F_k'|_F^2``, per point k.
+
+    The nonlocal draw picks its source points proportional to this vector.
+    It depends only on the points, the factors and ``delta_w``, so one vector
+    serves every draw on the same data; an all-zero vector is returned as is
+    and the draw raises :class:`ZeroTraceError`.
+    """
+    if not delta_w > 0.0:
+        raise ValueError("delta_w must be positive")
+    K = F.shape[0]
+    sq_norms = np.sum(F**2, axis=(1, 2))
+    X = np.asfortranarray(ds.X)
+    step = max(1, BLOCK_DOUBLES // K)
+    return np.concatenate(
+        [
+            np.sqrt(_mixing_weights(X, slice(lo, lo + step), delta_w) ** 2 @ sq_norms)
+            for lo in range(0, K, step)
+        ]
+    )
+
+
 def _sample_nonlocal(
-    ds: DataSet, F: np.ndarray, n: int, delta_w: float, rng: np.random.Generator
+    ds: DataSet,
+    F: np.ndarray,
+    n: int,
+    delta_w: float,
+    sqrt_tr: np.ndarray,
+    rng: np.random.Generator,
 ) -> NeuronSet:
     """Directions from spatially mixed per-point factors ``F`` (K x d x r).
 
-    The source point k is picked proportional to ``sqrt(tr C_k)`` with
-    ``tr C_k = sum_k' w_{k,k'}^2 |F_k'|_F^2``.  The direction is
+    The source point k is picked proportional to ``sqrt_tr``, the
+    ``nonlocal_source_weights`` of ``(ds, F, delta_w)``.  The direction is
     ``a = v/|v|`` with ``v = sum_k' w_{k,k'} F_k' xi_k'`` and standard normal
     ``xi_k'`` in R^r, and the offset is ``b = -a.x_k + eps`` with
     ``eps ~ N(0, delta_w^2)``.
     """
-    if not delta_w > 0.0:
-        raise ValueError("delta_w must be positive")
-    K, d, r = F.shape
-    sq_norms = np.sum(F**2, axis=(1, 2))
-    step = max(1, BLOCK_DOUBLES // K)
-    sqrt_tr = np.concatenate(
-        [
-            np.sqrt(_mixing_weights(ds.X, slice(lo, lo + step), delta_w) ** 2 @ sq_norms)
-            for lo in range(0, K, step)
-        ]
-    )
     total = sqrt_tr.sum()
     if total <= 0.0:
         raise ZeroTraceError("all mixture covariances are zero")
+    K, d, r = F.shape
     ks = rng.choice(K, size=n, p=sqrt_tr / total)
     Ft = F.transpose(0, 2, 1).reshape(K * r, d)
+    X = np.asfortranarray(ds.X)
     A = np.empty((n, d))
     step = max(1, BLOCK_DOUBLES // (K * r))
     for lo in range(0, n, step):
-        W = _mixing_weights(ds.X, ks[lo : lo + step], delta_w)
+        W = _mixing_weights(X, ks[lo : lo + step], delta_w)
 
         def mixed(idx):
             xi = rng.standard_normal((idx.size, K, r))
@@ -292,17 +333,16 @@ def sample_nonlocal_gradient(
     ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
 ) -> NeuronSet:
     """Spatially mixed gradients ``sum_k' w g_k' xi_k'`` (factor K x d x 1)."""
-    G = _require_gradients(ds)
-    return _sample_nonlocal(ds, G[:, :, None], n, delta_w, rng)
+    F = nonlocal_factor(ds, "nonlocal-gradient")
+    return _sample_nonlocal(ds, F, n, delta_w, nonlocal_source_weights(ds, F, delta_w), rng)
 
 
 def sample_nonlocal_hessian(
     ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
 ) -> NeuronSet:
     """Spatially mixed Hessian actions ``sum_k' w H_k' xi_k'`` (factor K x d x d)."""
-    if ds.H is None:
-        raise MissingHessiansError("dataset has no Hessian data")
-    return _sample_nonlocal(ds, ds.H, n, delta_w, rng)
+    F = nonlocal_factor(ds, "nonlocal-hessian")
+    return _sample_nonlocal(ds, F, n, delta_w, nonlocal_source_weights(ds, F, delta_w), rng)
 
 
 def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
@@ -479,8 +519,14 @@ def draw(
     rng: np.random.Generator,
     psi_table: PsiTable | None = None,
     fit_callback: Callable[[NeuronSet], RidgeModel] | None = None,
+    source_weights: np.ndarray | None = None,
 ) -> DrawResult:
-    """Run the strategy described by ``spec`` and normalize the outputs."""
+    """Run the strategy described by ``spec`` and normalize the outputs.
+
+    A nonlocal ``spec`` draws its source points from ``source_weights``, the
+    ``nonlocal_source_weights`` of ``ds`` at the spec's kind and ``delta_w``,
+    when they are given, and computes them otherwise; other kinds ignore them.
+    """
     if n < 1:
         raise ValueError("need at least one neuron")
     if spec.kind == "integral-density":
@@ -496,6 +542,9 @@ def draw(
         if fit_callback is None:
             raise ValueError("residual sampling needs a regression callback")
         return DrawResult(sample_residual(ds, spec, n, fit_callback, rng))
+    if source_weights is not None and spec.kind.startswith("nonlocal-"):
+        F = nonlocal_factor(ds, spec.kind)
+        return DrawResult(_sample_nonlocal(ds, F, n, spec.delta_w, source_weights, rng))
     return DrawResult(_sample_base(spec, ds, n, rng))
 
 

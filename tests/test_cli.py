@@ -227,14 +227,19 @@ class TestRunExperiment:
         assert by_sampler["residual-local-gradient"]["test_rmse"] is None
 
     def test_worker_pool_preserves_determinism(self, tmp_path):
-        cfg1 = load_config(small_config(tmp_path))
-        cfg2 = load_config(small_config(tmp_path, workers=3))
-        rows1 = run_experiment(cfg1)
-        rows2 = run_experiment(cfg2)
-        for r1, r2 in zip(rows1, rows2):
-            assert {k: r1[k] for k in CSV_COLUMNS if k != "wall_ms"} == {
-                k: r2[k] for k in CSV_COLUMNS if k != "wall_ms"
-            }
+        for sampler_list in (
+            ["uniform", "local-gradient"],
+            ["nonlocal-gradient", {"kind": "residual", "base": "nonlocal-gradient"}],
+        ):
+            cfg1 = load_config(small_config(tmp_path, samplers=sampler_list))
+            cfg2 = load_config(small_config(tmp_path, samplers=sampler_list, workers=3))
+            rows1 = run_experiment(cfg1)
+            rows2 = run_experiment(cfg2)
+            assert len(rows1) == len(rows2)
+            for r1, r2 in zip(rows1, rows2):
+                assert {k: r1[k] for k in CSV_COLUMNS if k != "wall_ms"} == {
+                    k: r2[k] for k in CSV_COLUMNS if k != "wall_ms"
+                }
 
     def test_paired_datasets_across_samplers(self, tmp_path):
         # same replicate => same data: a deterministic sampler fitted on the
@@ -245,8 +250,25 @@ class TestRunExperiment:
         )
         rows1 = [r for r in run_experiment(cfg1) if r["sampler"] == "local-gradient"]
         rows2 = [r for r in run_experiment(cfg2) if r["sampler"] == "local-gradient"]
+        assert len(rows1) == len(rows2)
         for r1, r2 in zip(rows1, rows2):
             assert r1["test_rmse"] == r2["test_rmse"]
+
+    def test_residual_nonlocal_rows_ignore_shared_source_weights(self, tmp_path):
+        # residual stages compute their own source weights from the residual
+        # gradients; a nonlocal-gradient sampler at the same delta_w beside
+        # them must not change their rows
+        residual = {"kind": "residual", "base": "nonlocal-gradient"}
+        cfg1 = load_config(small_config(tmp_path, samplers=[residual]))
+        cfg2 = load_config(small_config(tmp_path, samplers=["nonlocal-gradient", residual]))
+        rows1 = run_experiment(cfg1)
+        rows2 = [r for r in run_experiment(cfg2) if r["sampler"] == "residual-nonlocal-gradient"]
+        assert len(rows1) == len(rows2) == 4
+        for r1, r2 in zip(rows1, rows2):
+            assert r1["status"] == "ok"
+            assert {k: r1[k] for k in CSV_COLUMNS if k != "wall_ms"} == {
+                k: r2[k] for k in CSV_COLUMNS if k != "wall_ms"
+            }
 
 
 FLOAT_COLUMNS = ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms")

@@ -291,14 +291,16 @@ class TestNonlocalProperties:
         B, F = low_rank_factors(rng, K, d, r, hessian)
         X = rng.uniform(-1.0, 1.0, (K, d)) / np.sqrt(d)
         delta_w = 10.0**log_delta_w
-        ns = samplers._sample_nonlocal(DataSet(X=X, y=np.zeros(K)), F, n, delta_w, rng)
+        ds = DataSet(X=X, y=np.zeros(K))
+        sqrt_tr = samplers.nonlocal_source_weights(ds, F, delta_w)
+        ns = samplers._sample_nonlocal(ds, F, n, delta_w, sqrt_tr, rng)
         assert np.max(np.abs(np.linalg.norm(ns.a, axis=1) - 1.0)) < 1e-12
         off_span = ns.a - (ns.a @ B) @ B.T
         assert np.max(np.linalg.norm(off_span, axis=1)) < 1e-10
         slack = np.abs(ns.a @ X.T + ns.b[:, None]).min(axis=1)
         assert np.max(slack) <= 6.0 * delta_w
 
-    def test_mixing_weights_match_pairwise_formula(self):
+    def test_mixing_weights_match_pairwise_formula(self, monkeypatch):
         rng = np.random.default_rng(39)
         X = rng.uniform(-0.5, 0.5, (50, 4))
         delta_w = 0.03
@@ -309,6 +311,18 @@ class TestNonlocalProperties:
         w = samplers._mixing_weights(X, rows, delta_w)
         np.testing.assert_allclose(w, ref[rows], rtol=1e-13, atol=0.0)
         assert 0 < np.sum(ref[rows] == 0.0) < ref[rows].size
+        # the coordinate layout does not change the bits
+        assert np.array_equal(samplers._mixing_weights(np.asfortranarray(X), rows, delta_w), w)
+        assert np.array_equal(samplers._mixing_weights(np.asfortranarray(X), slice(5, 30), delta_w),
+                              samplers._mixing_weights(X, slice(5, 30), delta_w))
+        # the source-point weights, in several row blocks, for both factor shapes
+        monkeypatch.setattr(samplers, "BLOCK_DOUBLES", 7 * 50)
+        for hessian in (False, True):
+            _, F = low_rank_factors(rng, 50, 4, 2, hessian)
+            sqrt_tr = samplers.nonlocal_source_weights(DataSet(X=X, y=np.zeros(50)), F, delta_w)
+            np.testing.assert_allclose(
+                sqrt_tr, np.sqrt((ref * ref) @ np.sum(F**2, axis=(1, 2))), rtol=1e-13, atol=0.0
+            )
 
     @pytest.mark.parametrize("hessian", [False, True])
     def test_blocking_does_not_change_draws(self, monkeypatch, hessian):
@@ -316,11 +330,38 @@ class TestNonlocalProperties:
         K, d = 30, 3
         _, F = low_rank_factors(rng, K, d, 2, hessian)
         ds = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=np.zeros(K))
-        whole = samplers._sample_nonlocal(ds, F, 20, 0.1, np.random.default_rng(38))
+        sqrt_tr = samplers.nonlocal_source_weights(ds, F, 0.1)
+        whole = samplers._sample_nonlocal(ds, F, 20, 0.1, sqrt_tr, np.random.default_rng(38))
         monkeypatch.setattr(samplers, "BLOCK_DOUBLES", 2 * K * F.shape[2] + 1)
-        blocked = samplers._sample_nonlocal(ds, F, 20, 0.1, np.random.default_rng(38))
+        sqrt_tr = samplers.nonlocal_source_weights(ds, F, 0.1)
+        blocked = samplers._sample_nonlocal(ds, F, 20, 0.1, sqrt_tr, np.random.default_rng(38))
         assert np.allclose(blocked.a, whole.a, rtol=0.0, atol=1e-12)
         assert np.allclose(blocked.b, whole.b, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["nonlocal-gradient", "nonlocal-hessian"])
+    def test_draw_with_given_source_weights_is_bit_identical(self, kind):
+        rng = np.random.default_rng(40)
+        K, d = 60, 3
+        _, H = low_rank_factors(rng, K, d, 2, hessian=True)
+        ds = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=np.zeros(K),
+                     G=rng.standard_normal((K, d)), H=H)
+        spec = SamplerSpec(kind=kind, delta_w=0.07)
+        sample = {"nonlocal-gradient": sample_nonlocal_gradient,
+                  "nonlocal-hessian": sample_nonlocal_hessian}[kind]
+        plain = sample(ds, 25, 0.07, np.random.default_rng(41))
+        sqrt_tr = samplers.nonlocal_source_weights(ds, samplers.nonlocal_factor(ds, kind), 0.07)
+        given = draw(spec, ds, 25, np.random.default_rng(41), source_weights=sqrt_tr).neurons
+        assert np.array_equal(given.a, plain.a) and np.array_equal(given.b, plain.b)
+
+    @pytest.mark.parametrize("kind", ["nonlocal-gradient", "nonlocal-hessian"])
+    def test_zero_factors_give_zero_weights_and_draw_raises(self, kind):
+        K, d = 6, 2
+        ds = DataSet(X=np.zeros((K, d)), y=np.zeros(K), G=np.zeros((K, d)), H=np.zeros((K, d, d)))
+        sqrt_tr = samplers.nonlocal_source_weights(ds, samplers.nonlocal_factor(ds, kind), 0.1)
+        assert np.array_equal(sqrt_tr, np.zeros(K))
+        spec = SamplerSpec(kind=kind, delta_w=0.1)
+        with pytest.raises(ZeroTraceError):
+            draw(spec, ds, 5, np.random.default_rng(0), source_weights=sqrt_tr)
 
 
 def gauss1d_dataset(K=1000):
