@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 END_DECAY_TOL = 1e-8
 MAX_TABLE_POINTS = 2**23  # make_psi_table gives up beyond this grid size
@@ -57,7 +56,10 @@ def eval_activation(spec: ActivationSpec, t) -> float | np.ndarray:
     """Evaluate ``sigma_s(t)`` (``delta = 0``) or ``sigma_{s,delta}(t)``.
 
     s=1: Heaviside with the right-continuous convention ``sigma_1(0) = 1``, or
-    the sigmoid ``1 / (1 + exp(-t/delta))``.  s=2: ReLU, or softplus
+    the sigmoid ``1 / (1 + exp(-u))``, ``u = t/delta``, with ``-u`` clipped at
+    709 so that ``exp`` cannot overflow (``exp(709)`` is finite); below
+    ``u = -709`` the value stays at ``1.2e-308`` instead of falling through
+    the subnormals to 0.  s=2: ReLU, or softplus
     ``delta * log(1 + exp(t/delta))`` computed via the overflow-safe branch
     ``delta * (max(u, 0) + log1p(exp(-|u|)))``.
     """
@@ -68,7 +70,7 @@ def eval_activation(spec: ActivationSpec, t) -> float | np.ndarray:
         return _maybe_scalar(out, scalar)
     u = t / spec.delta
     if spec.s == 1:
-        return _maybe_scalar(expit(u), scalar)
+        return _maybe_scalar(1.0 / (1.0 + np.exp(np.minimum(-u, 709.0))), scalar)
     out = spec.delta * (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
     return _maybe_scalar(out, scalar)
 

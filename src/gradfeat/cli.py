@@ -143,6 +143,15 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        sigma = self.noise_sigma
+        if sigma is not None and not (
+            (_is_int(sigma) or isinstance(sigma, (float, np.floating))) and 0.0 <= sigma < np.inf
+        ):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if not isinstance(self.include_poly, (bool, np.bool_)):
+            raise ConfigError(f"include_poly must be true or false, got {self.include_poly!r}")
+        if not self.samplers:
+            raise ConfigError("samplers must name at least one sampler")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

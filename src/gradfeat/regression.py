@@ -7,6 +7,12 @@ and leaves the ridge problem in blocks ``R_ff``, ``r_fy``; one SVD
 ``R_ff = U S V^T`` gives the neuron weights for every alpha as the filter
 ``c = V diag(s / (s^2 + K alpha N)) U^T r_fy`` without squaring the condition
 number, and the train error as ``||r_fy - R_ff c||`` with no K-row product.
+
+The polynomial part solves the upper-triangular ``R_pp`` with
+``np.linalg.solve``, which keeps gradfeat on numpy's one BLAS runtime.  It is
+exact back substitution: ``qr(mode="r")`` stores zeros below the diagonal, so
+LU with partial pivoting never swaps rows (no entry below a pivot is larger
+than zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .activation import ActivationSpec, eval_activation, eval_bump
 from .geometry import NeuronSet
@@ -112,7 +117,7 @@ def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0):
     filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)
     C = Vt.T @ (filt * (U.T @ r_fy)[:, None])
     sse = np.sum((r_fy[:, None] - R_ff @ C) ** 2, axis=0)
-    q = scipy.linalg.solve_triangular(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
+    q = np.linalg.solve(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
     return np.vstack([C, q]), sse
 
 

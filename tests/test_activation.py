@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from gradfeat.activation import (
     ActivationSpec,
@@ -256,6 +257,49 @@ class TestEvalPsiProperties:
             one = eval_psi(table, np.float64(x))
             assert isinstance(one, float)
             assert np.array_equal(np.float64(one).view(np.int64), r.view(np.int64))
+
+
+TINY = 2.2250738585072014e-308  # smallest normal double
+
+
+@st.composite
+def sigmoid_arguments(draw):
+    """A width and 2-d arguments ``u * delta`` around the overflow edge of ``exp``."""
+    delta = draw(st.floats(1e-3, 1.0))
+    u = [
+        *draw(st.lists(st.floats(-800.0, 800.0), max_size=30)),
+        *draw(st.lists(st.floats(709.0, 746.0) | st.floats(-746.0, -709.0), max_size=10)),
+        *draw(st.lists(st.floats(-1e300, 1e300), max_size=5)),
+        709.0, -709.0, 745.0, -745.0, 746.0, -746.0, 0.0, -0.0, np.inf, -np.inf, np.nan,
+    ]
+    u = np.array(draw(st.permutations(u)))
+    if u.size % 2:
+        u = np.append(u, u[0])
+    return delta, (u * delta).reshape(2, -1)
+
+
+class TestSigmoidProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sigmoid_arguments())
+    def test_matches_expit(self, case):
+        # within 2 ulps of scipy's expit where that is a normal double, and
+        # within 1.3e-308 below it, where the clipped exponent holds the value
+        # at 1 / (1 + exp(709)) while expit runs through the subnormals to 0
+        delta, t = case
+        spec = ActivationSpec(1, delta)
+        ref = expit(t / delta)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = eval_activation(spec, t)
+            ones = [eval_activation(spec, np.float64(x)) for x in t.flat]
+        assert got.shape == t.shape
+        assert all(isinstance(one, float) for one in ones)
+        for out in (got, np.array(ones).reshape(t.shape)):
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(out), nan)
+            normal = ref >= TINY
+            err = np.abs(out - ref)
+            assert np.all(err[normal] <= 4.5e-16 * ref[normal])
+            assert np.all(err[~normal & ~nan] <= 1.3e-308)
 
 
 def _uniform_grid(n=101):

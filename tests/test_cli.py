@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import gradfeat
 from gradfeat import cli
 from gradfeat.cli import (
     CSV_COLUMNS,
@@ -128,13 +132,18 @@ class TestConfig:
             {"workers": True},
             {"n_grid": [5.0]},
             {"n_grid": [10, 10]},
+            {"include_poly": "false"},
+            {"noise_sigma": -0.1},
+            {"noise_sigma": float("nan")},
+            {"samplers": []},
         ],
         ids=[
             "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
             "alpha_grid_inf", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "d_float", "K_float", "replicates_float",
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
-            "workers_bool", "n_grid_float", "n_grid_repeated",
+            "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
+            "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -271,6 +280,43 @@ class TestRunExperiment:
             }
 
 
+# Runs, in a fresh interpreter, a sigmoid grid with the constant column and a
+# residual sampler, and a softplus grid with the affine block, nonlocal-hessian
+# and integral-density; prints the scipy modules loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+import gradfeat, gradfeat.cli
+from gradfeat.cli import ExperimentConfig, run_experiment
+common = dict(n_grid=[8], replicates=1, test_size=40, master_seed=5)
+configs = [
+    ExperimentConfig(benchmark="gauss1d", d=1, K=120, s=1,
+                     samplers=["uniform", {"kind": "residual", "n0": 4}], **common),
+    ExperimentConfig(benchmark="planar_wave", d=2, K=100, s=2,
+                     samplers=["nonlocal-hessian", "integral-density"], **common),
+]
+for config in configs:
+    assert config.include_poly and config.delta > 0.0
+    rows = run_experiment(config)
+    assert len(rows) == 2 and all(r["status"] == "ok" for r in rows), rows
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestRunImports:
+    def test_run_imports_no_scipy(self):
+        # a subprocess, because this test process imports scipy itself
+        src = str(Path(gradfeat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
 FLOAT_COLUMNS = ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms")
 
 
@@ -381,12 +427,17 @@ class TestMain:
             ["--master_seed", "-1"],
             ["--n_grid", "[10,10]"],
             ["--workers", "0"],
+            ["--include_poly", '"false"'],
+            ["--noise_sigma", "-0.1"],
+            ["--noise_sigma", "NaN"],
+            ["--samplers", "[]"],
         ],
         ids=[
             "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
             "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
+            "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, flags):

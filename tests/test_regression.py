@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from gradfeat.regression import (
     DEFAULT_ALPHA_GRID,
     NonsmoothModelError,
     RidgeModel,
+    _ridge_path,
     cross_validate,
     eval_model,
     eval_model_gradient,
@@ -213,6 +215,31 @@ class TestRidgeProperties:
         if n_poly:
             q_ref = np.linalg.lstsq(P, y - F @ coef[:N], rcond=None)[0]
             np.testing.assert_allclose(coef[N:], q_ref, rtol=1e-8, atol=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(6, 40),
+        N=st.integers(1, 60),
+        d=st.integers(1, 4),
+        poly=st.sampled_from(["none", "constant", "affine"]),
+    )
+    def test_polynomial_solve_matches_solve_triangular_bits(self, seed, K, N, d, poly):
+        # np.linalg.solve on the upper-triangular R_pp is back substitution:
+        # with exact zeros below the diagonal partial pivoting swaps no rows
+        rng = np.random.default_rng(seed)
+        p = {"none": 0, "constant": 1, "affine": d + 1}[poly]
+        F = rng.standard_normal((K, N))
+        P = _poly_block(rng.uniform(-0.5, 0.5, (K, d)), p)
+        y = rng.standard_normal(K)
+        coefs, _ = _ridge_path(np.hstack([F, P]), y, DEFAULT_ALPHA_GRID, p)
+
+        R = np.linalg.qr(np.hstack([P, F, y[:, None]]), mode="r")
+        R_pp = R[:p, :p]
+        assert np.all(np.tril(R_pp, -1) == 0.0)
+        ref = scipy.linalg.solve_triangular(R_pp, R[:p, -1:] - R[:p, p:-1] @ coefs[:N])
+        assert ref.shape == coefs[N:].shape == (p, 25)
+        assert np.array_equal(coefs[N:].view(np.int64), ref.view(np.int64))
 
     @PROPERTY_SETTINGS
     @given(
