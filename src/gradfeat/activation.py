@@ -52,7 +52,7 @@ def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-def eval_activation(spec: ActivationSpec, t) -> float | np.ndarray:
+def eval_activation(spec: ActivationSpec, t, out=None) -> float | np.ndarray:
     """Evaluate ``sigma_s(t)`` (``delta = 0``) or ``sigma_{s,delta}(t)``.
 
     s=1: Heaviside with the right-continuous convention ``sigma_1(0) = 1``, or
@@ -62,17 +62,37 @@ def eval_activation(spec: ActivationSpec, t) -> float | np.ndarray:
     the subnormals to 0.  s=2: ReLU, or softplus
     ``delta * log(1 + exp(t/delta))`` computed via the overflow-safe branch
     ``delta * (max(u, 0) + log1p(exp(-|u|)))``.
+
+    Every step writes into one array: ``out`` (a float array of ``t``'s
+    shape, which may be ``t`` itself; returned) when given, else a new one.
+    The softplus needs one more for its ``log1p`` term.  ``u`` is negated
+    after the division, not divided by ``-delta``, which would keep the sign
+    of a NaN ``t``.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
+    scalar = t.ndim == 0 and out is None
+    if out is None:
+        out = np.empty_like(t)  # a 0-d array, which ufuncs can write into
     if spec.delta == 0.0:
-        out = (t >= 0.0).astype(float) if spec.s == 1 else np.maximum(t, 0.0)
+        if spec.s == 1:
+            np.greater_equal(t, 0.0, out=out)
+        else:
+            np.maximum(t, 0.0, out=out)
         return _maybe_scalar(out, scalar)
-    u = t / spec.delta
+    np.divide(t, spec.delta, out=out)
     if spec.s == 1:
-        return _maybe_scalar(1.0 / (1.0 + np.exp(np.minimum(-u, 709.0))), scalar)
-    out = spec.delta * (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
-    return _maybe_scalar(out, scalar)
+        np.negative(out, out=out)
+        np.minimum(out, 709.0, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        return _maybe_scalar(np.divide(1.0, out, out=out), scalar)
+    tail = np.abs(out, out=np.empty_like(out))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(out, 0.0, out=out)
+    np.add(out, tail, out=out)
+    return _maybe_scalar(np.multiply(out, spec.delta, out=out), scalar)
 
 
 def eval_bump(spec: ActivationSpec, t) -> float | np.ndarray:

@@ -4,7 +4,9 @@ Within a replicate every sampler sees the same train/val/test data, so error
 comparisons are paired.  Cell randomness is keyed by a stable hash of
 (benchmark, sampler, N, replicate) under one master seed; rerunning with the
 same seed reproduces every result field bit for bit (the wall_ms column is
-measurement metadata and exempt from the determinism contract).
+measurement metadata and exempt from the determinism contract).  A run holds
+numpy's OpenBLAS at one thread, so the bits do not depend on the host's core
+count or on ``workers`` where that library is found.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas
 from .activation import ActivationSpec, GridResolutionError, make_psi_table
 from .benchmarks import (
     GridSizeError,
@@ -332,29 +335,36 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
 
 
 def run_experiment(config: ExperimentConfig) -> list:
-    """Run the full grid; returns one row dict per (sampler, N, replicate) cell."""
+    """Run the full grid; returns one row dict per (sampler, N, replicate) cell.
+
+    The whole run, set-up and cells, holds numpy's OpenBLAS at one thread
+    (``_blas.one_thread``), so that a cell's bits do not depend on the host's
+    core count and ``workers`` alone sets the parallelism.  The count is
+    process-wide and restored on return: do not run other BLAS work beside a
+    run in the same process.
+    """
     specs = [parse_sampler_entry(e, config) for e in config.samplers]
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise ConfigError("sampler labels collide; use distinct kinds")
-    master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
-
     cells = [
         (label, spec, n, rep)
         for label, spec in zip(labels, specs)
         for n in config.n_grid
         for rep in range(config.replicates)
     ]
+    with _blas.one_thread():
+        master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
 
-    def job(cell):
-        label, spec, n, rep = cell
-        return _run_cell(config, label, spec, datasets, n, rep, psi_table, master)
+        def job(cell):
+            label, spec, n, rep = cell
+            return _run_cell(config, label, spec, datasets, n, rep, psi_table, master)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(job, cells))
-    else:
-        rows = [job(c) for c in cells]
+        if config.workers > 1:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                rows = list(pool.map(job, cells))
+        else:
+            rows = [job(c) for c in cells]
     rows.sort(key=lambda r: (r["sampler"], r["N"], r["replicate"]))
     return rows
 
@@ -445,8 +455,9 @@ def write_convergence_svg(summary: list, path) -> None:
 def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path:
     """Write the neurons that replicate ``seed`` of a run draws for ``sampler`` at N=n."""
     spec = parse_sampler_entry(sampler, config)
-    master, psi_table, datasets = _prepare(config, [spec], [seed])
-    result = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
+    with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
+        master, psi_table, datasets = _prepare(config, [spec], [seed])
+        result = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"
@@ -528,7 +539,11 @@ def main(argv=None) -> int:
             path = outdir / "results.csv"
             write_results_csv(rows, path)
             failed = sum(r["status"] != "ok" for r in rows)
-            print(f"wrote {path} ({len(rows)} cells, {failed} failed)")
+            if _blas.threads() is None:
+                blas = "BLAS threads not pinned (no OpenBLAS found)"
+            else:
+                blas = "1 BLAS thread per cell"
+            print(f"wrote {path} ({len(rows)} cells, {failed} failed; {blas})")
             return 2 if failed else 0
         if args.command == "summarize":
             rows = read_results_csv(args.results)

@@ -72,22 +72,28 @@ def poly_width(activation: ActivationSpec, d: int, include_poly: bool = True) ->
     return 1 if activation.s == 1 else d + 1
 
 
-def _poly_columns(X: np.ndarray, activation: ActivationSpec) -> np.ndarray:
-    ones = np.ones((X.shape[0], 1))
-    if activation.s == 1:
-        return ones
-    return np.hstack([ones, X])
-
-
 def feature_matrix(
     X, neurons: NeuronSet, activation: ActivationSpec, include_poly: bool = True
 ) -> np.ndarray:
-    """Matrix ``Phi[k, n] = sigma(a_n . x_k + b_n)``, poly columns appended last."""
+    """Matrix ``Phi[k, n] = sigma(a_n . x_k + b_n)``, poly columns appended last.
+
+    The activations are computed in place in the pre-activation array, whose
+    contiguous rows the elementwise loops run fastest on, and copied once into
+    the array that also takes the polynomial columns (a constant, and for s=2
+    the coordinates).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    pre = X @ neurons.a.T + neurons.b
-    phi = eval_activation(activation, pre)
-    if include_poly:
-        phi = np.hstack([phi, _poly_columns(X, activation)])
+    pre = X @ neurons.a.T
+    pre += neurons.b
+    eval_activation(activation, pre, out=pre)
+    if not include_poly:
+        return pre
+    n = len(neurons)
+    phi = np.empty((X.shape[0], n + poly_width(activation, X.shape[1])))
+    phi[:, :n] = pre
+    phi[:, n] = 1.0
+    if activation.s == 2:
+        phi[:, n + 1:] = X
     return phi
 
 
@@ -111,7 +117,13 @@ def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0):
 
     K, p = phi.shape[0], n_poly
     n_neurons = phi.shape[1] - p
-    R = np.linalg.qr(np.hstack([phi[:, n_neurons:], phi[:, :n_neurons], y[:, None]]), mode="r")
+    # Fortran order: the QR copies its input into LAPACK's column-major
+    # layout, which is cheapest from columns that are already contiguous
+    A = np.empty((K, p + n_neurons + 1), order="F")
+    A[:, :p] = phi[:, n_neurons:]
+    A[:, p:-1] = phi[:, :n_neurons]
+    A[:, -1] = y
+    R = np.linalg.qr(A, mode="r")
     R_ff, r_fy = R[p:, p:-1], R[p:, -1]
     U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
     filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)

@@ -302,6 +302,38 @@ class TestSigmoidProperties:
             assert np.all(err[~normal & ~nan] <= 1.3e-308)
 
 
+def _expression_activation(spec, t):
+    # the sigmoid and softplus as whole-array expressions, one temporary per
+    # step: the reference for eval_activation's in-place steps
+    u = t / spec.delta
+    if spec.s == 1:
+        return 1.0 / (1.0 + np.exp(np.minimum(-u, 709.0)))
+    return spec.delta * (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))
+
+
+class TestActivationBits:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(sigmoid_arguments(), st.sampled_from([1, 2]))
+    def test_in_place_steps_match_expressions(self, case, s):
+        # bit for bit on 2-d and 0-d input, each against the expression on the
+        # same input: numpy's loops differ in which NaN operand they return
+        delta, t = case
+        spec = ActivationSpec(s, delta)
+        ref = _expression_activation(spec, t).view(np.int64)
+        got = eval_activation(spec, t)
+        assert got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), ref)
+        for x in t.flat:
+            one = eval_activation(spec, np.float64(x))
+            assert isinstance(one, float)
+            r = _expression_activation(spec, np.float64(x))
+            assert np.float64(one).view(np.int64) == r.view(np.int64)
+        # in place, as feature_matrix evaluates its pre-activations
+        inplace = t.copy()
+        assert eval_activation(spec, inplace, out=inplace) is inplace
+        assert np.array_equal(inplace.view(np.int64), ref)
+
+
 def _uniform_grid(n=101):
     return np.linspace(-2.0, 2.0, n)
 

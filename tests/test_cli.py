@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 import gradfeat
-from gradfeat import cli
+from gradfeat import _blas, cli
 from gradfeat.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -280,6 +280,78 @@ class TestRunExperiment:
             }
 
 
+def run_script(code: str, cwd=None, **env) -> str:
+    """Standard output of ``code`` in a fresh interpreter that imports this
+    gradfeat, with ``env`` added to the environment."""
+    src = str(Path(gradfeat.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# A checkmark grid whose N=150 rows moved with the BLAS thread count before
+# every run held OpenBLAS at one thread.
+PIN_GRID = dict(
+    benchmark="checkmark", d=3, K=2000, n_grid=[150],
+    samplers=["local-gradient", "nonlocal-gradient"], replicates=1, master_seed=7,
+)
+PIN_GRID_SCRIPT = f"""
+from gradfeat.cli import ExperimentConfig, run_experiment
+for row in run_experiment(ExperimentConfig(**{PIN_GRID!r})):
+    row.pop("wall_ms")
+    print(repr(row))
+"""
+
+
+class TestBlasPin:
+    def test_rows_do_not_depend_on_blas_threads(self, tmp_path):
+        one, two = (
+            run_script(PIN_GRID_SCRIPT, tmp_path, OPENBLAS_NUM_THREADS=str(n)) for n in (1, 2)
+        )
+        assert len(one.splitlines()) == 2
+        assert one == two
+
+    def test_workers_give_identical_rows(self):
+        rows = [run_experiment(ExperimentConfig(**PIN_GRID, workers=w)) for w in (1, 2)]
+        assert all(r["status"] == "ok" for r in rows[0])
+        rows = [[{k: r[k] for k in CSV_COLUMNS if k != "wall_ms"} for r in rs] for rs in rows]
+        assert rows[0] == rows[1]
+
+    def test_thread_count_restored(self, tmp_path, monkeypatch):
+        before = _blas.threads()
+        cfg = load_config(small_config(tmp_path, replicates=1, n_grid=[8]))
+        run_experiment(cfg)
+        assert _blas.threads() == before
+        seen = []
+
+        def failing_cell(*args):
+            seen.append(_blas.threads())
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(cli, "_run_cell", failing_cell)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_experiment(cfg)
+        assert _blas.threads() == before
+        assert seen == [None if before is None else 1]
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+    def test_numpy_wheel_openblas_found(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip(f"numpy is built against {blas.get('name')}")
+        before = _blas.threads()
+        assert before is not None and before >= 1
+        with _blas.one_thread():
+            assert _blas.threads() == 1
+        assert _blas.threads() == before
+
+
 # Runs, in a fresh interpreter, a sigmoid grid with the constant column and a
 # residual sampler, and a softplus grid with the affine block, nonlocal-hessian
 # and integral-density; prints the scipy modules loaded.
@@ -305,16 +377,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 class TestRunImports:
     def test_run_imports_no_scipy(self):
         # a subprocess, because this test process imports scipy itself
-        src = str(Path(gradfeat.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        done = subprocess.run(
-            [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True,
-            env=env, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert run_script(NO_SCIPY_SCRIPT).strip() == "[]"
 
 
 FLOAT_COLUMNS = ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms")
@@ -463,6 +526,19 @@ class TestMain:
         )
         assert main(["run", str(config_path)]) == 2
 
+    def test_run_line_says_whether_blas_is_pinned(self, tmp_path, capsys, monkeypatch):
+        config_path = small_config(tmp_path, replicates=1)
+        assert main(["run", str(config_path)]) == 0
+        out = capsys.readouterr().out
+        if _blas.threads() is not None:
+            assert out.rstrip().endswith("(4 cells, 0 failed; 1 BLAS thread per cell)")
+        monkeypatch.setattr(_blas, "_openblas", lambda: None)
+        assert main(["run", str(config_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(
+            "(4 cells, 0 failed; BLAS threads not pinned (no OpenBLAS found))"
+        )
+
     def test_list_benchmarks(self, capsys):
         assert main(["list-benchmarks"]) == 0
         out = capsys.readouterr().out
@@ -514,6 +590,26 @@ class TestExportWeights:
         rows = np.loadtxt(export_weights(cfg, sampler, 20, seed=1))
         assert np.array_equal(rows[:, :1], drawn[1].a)
         assert np.array_equal(rows[:, 1], drawn[1].b)
+
+    def test_residual_weights_do_not_depend_on_blas_threads(self, tmp_path):
+        # residual stages fit the model, so their neurons read BLAS results
+        config_path = small_config(
+            tmp_path, benchmark="checkmark", d=3, K=2000, sampling="uniform-random",
+            output_dir="out",
+        )
+        code = (
+            "from gradfeat.cli import main; "
+            f"raise SystemExit(main(['export-weights', {str(config_path)!r}, "
+            "'--sampler', 'residual', '--n', '150', '--seed', '0']))"
+        )
+        texts = []
+        for n in (1, 2):
+            cwd = tmp_path / str(n)
+            cwd.mkdir()
+            run_script(code, cwd, OPENBLAS_NUM_THREADS=str(n))
+            texts.append((cwd / "out" / "weights_residual-local-gradient_N150_seed0.txt").read_bytes())
+        assert len(texts[0].splitlines()) == 150
+        assert texts[0] == texts[1]
 
     def test_via_main(self, tmp_path):
         config_path = small_config(tmp_path)

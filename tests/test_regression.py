@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradfeat.activation import ActivationSpec
+from gradfeat.activation import ActivationSpec, eval_activation
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
 from gradfeat.regression import (
@@ -25,6 +25,7 @@ from gradfeat.samplers import DataSet, sample_local_gradient, sample_uniform
 HEAVISIDE = ActivationSpec(1, 0.0)
 SIGMOID = ActivationSpec(1, 1.0 / 80.0)
 RELU = ActivationSpec(2, 0.0)
+SOFTPLUS = ActivationSpec(2, 1.0 / 40.0)
 
 
 def random_problem(rng, K=200, N=50, d=3, activation=SIGMOID):
@@ -54,6 +55,28 @@ class TestFeatureMatrix:
 
         expect = eval_activation(SIGMOID, ds.X @ neurons.a[n] + neurons.b[n])
         assert np.allclose(phi[:, n], expect)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 40),
+        N=st.integers(1, 30),
+        d=st.integers(1, 4),
+        activation=st.sampled_from([HEAVISIDE, SIGMOID, RELU, SOFTPLUS]),
+        include_poly=st.booleans(),
+    )
+    def test_matches_stacked_columns_bits(self, seed, K, N, d, activation, include_poly):
+        # the activations and polynomial columns built in place are the bits
+        # of the pre-activation sum, activation and column stack built apart
+        rng = np.random.default_rng(seed)
+        ds, neurons = random_problem(rng, K=K, N=N, d=d)
+        phi = feature_matrix(ds.X, neurons, activation, include_poly)
+        blocks = [eval_activation(activation, ds.X @ neurons.a.T + neurons.b)]
+        if include_poly:
+            blocks.append(_poly_block(ds.X, poly_width(activation, d)))
+        ref = np.hstack(blocks)
+        assert phi.shape == ref.shape
+        assert np.array_equal(phi.view(np.int64), ref.view(np.int64))
 
     def test_poly_block_widths(self):
         assert poly_width(HEAVISIDE, 3) == 1
@@ -240,6 +263,25 @@ class TestRidgeProperties:
         ref = scipy.linalg.solve_triangular(R_pp, R[:p, -1:] - R[:p, p:-1] @ coefs[:N])
         assert ref.shape == coefs[N:].shape == (p, 25)
         assert np.array_equal(coefs[N:].view(np.int64), ref.view(np.int64))
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(6, 60),
+        N=st.integers(1, 80),
+        d=st.integers(1, 4),
+        poly=st.sampled_from(["none", "constant", "affine"]),
+    )
+    def test_memory_order_does_not_change_bits(self, seed, K, N, d, poly):
+        rng = np.random.default_rng(seed)
+        p = {"none": 0, "constant": 1, "affine": d + 1}[poly]
+        P = _poly_block(rng.uniform(-0.5, 0.5, (K, d)), p)
+        phi = np.hstack([rng.standard_normal((K, N)), P])
+        y = rng.standard_normal(K)
+        coefs, sse = _ridge_path(np.ascontiguousarray(phi), y, DEFAULT_ALPHA_GRID, p)
+        f_coefs, f_sse = _ridge_path(np.asfortranarray(phi), y, DEFAULT_ALPHA_GRID, p)
+        assert np.array_equal(coefs.view(np.int64), f_coefs.view(np.int64))
+        assert np.array_equal(sse.view(np.int64), f_sse.view(np.int64))
 
     @PROPERTY_SETTINGS
     @given(
