@@ -44,8 +44,8 @@ class ActivationSpec:
     def __post_init__(self) -> None:
         if self.s not in (1, 2):
             raise ValueError(f"activation order must be 1 or 2, got {self.s}")
-        if not self.delta >= 0.0:
-            raise ValueError(f"smoothing width must be >= 0, got {self.delta}")
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError(f"smoothing width must be finite and >= 0, got {self.delta}")
 
 
 def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:

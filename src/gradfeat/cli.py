@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,8 +49,6 @@ from .samplers import (
     ZeroTraceError,
     draw,
     export_weights_text,
-    nonlocal_factor,
-    nonlocal_source_weights,
 )
 
 CSV_COLUMNS = (
@@ -252,16 +251,14 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
     """What the cells of a run share, keyed as ``run_experiment`` keys it.
 
     Returns the master stream, the psi table (``None`` unless an
-    integral-density sampler needs one) and, per replicate, its
-    ``(train, test, fit, source_weights)``: the datasets, the cross-validated
-    fit on (train, val), ``neurons -> (model, report)``, and the nonlocal
-    source-point weights of the training set keyed by ``(kind, delta_w)``,
-    one for each nonlocal sampler, computed here so that the cells share them.
+    integral-density sampler needs one) and, per replicate, the 3-tuple
+    ``(train, test, fit)``: the datasets and the cross-validated fit on
+    (train, val), ``neurons -> (model, report)``.  The training set keeps the
+    nonlocal source-point weights that its first nonlocal draw computes.
     """
     bench = make_benchmark(config.benchmark, config.d)
     master = RngStream(config.master_seed)
     with_hessians = any(s.kind == "nonlocal-hessian" for s in specs)
-    nonlocal_keys = {(s.kind, s.delta_w) for s in specs if s.kind.startswith("nonlocal-")}
 
     def replicate(rep):
         train, val, test = generate_dataset(
@@ -280,11 +277,7 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
                 include_poly=config.include_poly,
             )
 
-        source_weights = {
-            (kind, delta_w): nonlocal_source_weights(train, nonlocal_factor(train, kind), delta_w)
-            for kind, delta_w in nonlocal_keys
-        }
-        return train, test, fit, source_weights
+        return train, test, fit
 
     datasets = {rep: replicate(rep) for rep in reps}
     psi_table = None
@@ -295,30 +288,15 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
 
 def _draw_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream):
     """The neurons of cell (label, n, rep), drawn from the cell's own stream."""
-    train, _, fit, source_weights = datasets[rep]
+    train, _, fit = datasets[rep]
     rng = master.child("cell", config.benchmark, label, n, rep).generator()
-    return draw(
-        spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0],
-        source_weights=source_weights.get((spec.kind, spec.delta_w)),
-    )
+    return draw(spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0])
 
 
 def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream) -> dict:
-    row = {
-        "benchmark": config.benchmark,
-        "d": config.d,
-        "sampler": label,
-        "N": n,
-        "replicate": rep,
-        "alpha": None,
-        "train_rmse": None,
-        "val_rmse": None,
-        "test_rmse": None,
-        "accept_rate": None,
-        "wall_ms": None,
-        "status": "ok",
-    }
-    _, test, fit, _ = datasets[rep]
+    row = dict(dict.fromkeys(CSV_COLUMNS), benchmark=config.benchmark, d=config.d,
+               sampler=label, N=n, replicate=rep, status="ok")
+    _, test, fit = datasets[rep]
     t0 = time.perf_counter()
     try:
         result = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)
@@ -337,7 +315,9 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the full grid; returns one row dict per (sampler, N, replicate) cell.
 
-    The whole run, set-up and cells, holds numpy's OpenBLAS at one thread
+    Cells run on a pool of ``workers`` threads.  Once a cell raises, no
+    further cell starts; an interrupt cancels the cells not yet started.  The
+    whole run, set-up and cells, holds numpy's OpenBLAS at one thread
     (``_blas.one_thread``), so that a cell's bits do not depend on the host's
     core count and ``workers`` alone sets the parallelism.  The count is
     process-wide and restored on return: do not run other BLAS work beside a
@@ -356,15 +336,20 @@ def run_experiment(config: ExperimentConfig) -> list:
     with _blas.one_thread():
         master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
 
-        def job(cell):
-            label, spec, n, rep = cell
-            return _run_cell(config, label, spec, datasets, n, rep, psi_table, master)
+        stop = threading.Event()  # a worker can take a cell before map cancels it
 
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                rows = list(pool.map(job, cells))
-        else:
-            rows = [job(c) for c in cells]
+        def job(cell):
+            if stop.is_set():
+                return None
+            label, spec, n, rep = cell
+            try:
+                return _run_cell(config, label, spec, datasets, n, rep, psi_table, master)
+            except BaseException:
+                stop.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            rows = list(pool.map(job, cells))
     rows.sort(key=lambda r: (r["sampler"], r["N"], r["replicate"]))
     return rows
 

@@ -33,13 +33,13 @@ rather than per block, so each coordinate it reads is a contiguous column.
 
 A draw picks its source points proportional to ``sqrt(tr C_k)``, which
 depends only on the points, the factors and ``delta_w``.
-``nonlocal_source_weights`` computes that vector in one K x K pass;
-``draw`` takes it as ``source_weights`` and otherwise computes it itself.
-The experiment harness makes the psi table once per run and the source-point
-weights once per replicate and (kind, ``delta_w``).  Residual stages compute
-their own at every stage, from the residual gradients.  Neither the sharing
-nor the column layout changes the arithmetic, so the draws are bit for bit
-those of computing everything per draw.
+``nonlocal_source_weights`` computes that vector in one K x K pass, and the
+first nonlocal draw on a ``DataSet`` keeps it there per (kind, ``delta_w``),
+one pass at a time under a lock, for every later draw to read.  Residual
+stages draw on ``with_gradients`` copies, which keep none, so they compute
+theirs at every stage from the residual gradients.  Neither the sharing nor
+the column layout changes the arithmetic, so the draws are bit for bit those
+of computing everything per draw.
 
 The integral density evaluates its proposals against the K data points in
 row blocks of the same bound, except that a block holds at least 2 rows
@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -110,6 +111,8 @@ class DataSet:
 
     Gradients ``G`` (K x d), Hessians ``H`` (K x d x d) and density values
     ``rho`` are optional; samplers raise when a required block is missing.
+    The nonlocal samplers keep their source-point weights on the dataset, so
+    its arrays must not be written after construction.
     """
 
     X: np.ndarray
@@ -118,6 +121,7 @@ class DataSet:
     H: np.ndarray | None = None
     R: float = 1.0
     rho: np.ndarray | None = None
+    _source_weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -180,17 +184,18 @@ class SamplerSpec:
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         fields = KIND_FIELDS[self.kind]
-        if "delta_w" in fields and (self.delta_w is None or not self.delta_w > 0.0):
-            raise ValueError(f"{self.kind} needs delta_w > 0")
-        if "safety" in fields and self.safety < 1.0:
-            raise ValueError("safety factor must be >= 1")
+        if "delta_w" in fields and (self.delta_w is None or not 0.0 < self.delta_w < math.inf):
+            raise ValueError(f"{self.kind} needs a finite delta_w > 0, got {self.delta_w}")
+        if "safety" in fields and not 1.0 <= self.safety < math.inf:
+            raise ValueError(f"safety factor must be finite and >= 1, got {self.safety}")
         if "base" in fields:
             if self.base is None or self.base.kind not in ("local-gradient", "nonlocal-gradient"):
                 raise ValueError("residual base must be local-gradient or nonlocal-gradient")
-            if not self.kappa > 1.0:
-                raise ValueError("kappa must exceed 1")
-            if self.n0 < 1:
-                raise ValueError("n0 must be >= 1")
+            if not 1.0 < self.kappa < math.inf:
+                raise ValueError(f"kappa must be finite and exceed 1, got {self.kappa}")
+            if (isinstance(self.n0, bool) or not isinstance(self.n0, (int, np.integer))
+                    or self.n0 < 1):
+                raise ValueError(f"n0 must be an integer >= 1, got {self.n0!r}")
 
     @property
     def label(self) -> str:
@@ -329,20 +334,34 @@ def _sample_nonlocal(
     return NeuronSet(A, b)
 
 
+_SOURCE_WEIGHTS_LOCK = threading.Lock()
+
+
+def _source_weights(ds: DataSet, kind: str, delta_w: float) -> np.ndarray:
+    """The ``nonlocal_source_weights`` of ``ds`` for ``kind`` at ``delta_w``,
+    computed on first use and kept on the dataset."""
+    key = (kind, delta_w)
+    with _SOURCE_WEIGHTS_LOCK:
+        if key not in ds._source_weights:
+            F = nonlocal_factor(ds, kind)
+            ds._source_weights[key] = nonlocal_source_weights(ds, F, delta_w)
+        return ds._source_weights[key]
+
+
 def sample_nonlocal_gradient(
     ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
 ) -> NeuronSet:
     """Spatially mixed gradients ``sum_k' w g_k' xi_k'`` (factor K x d x 1)."""
-    F = nonlocal_factor(ds, "nonlocal-gradient")
-    return _sample_nonlocal(ds, F, n, delta_w, nonlocal_source_weights(ds, F, delta_w), rng)
+    sqrt_tr = _source_weights(ds, "nonlocal-gradient", delta_w)
+    return _sample_nonlocal(ds, nonlocal_factor(ds, "nonlocal-gradient"), n, delta_w, sqrt_tr, rng)
 
 
 def sample_nonlocal_hessian(
     ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
 ) -> NeuronSet:
     """Spatially mixed Hessian actions ``sum_k' w H_k' xi_k'`` (factor K x d x d)."""
-    F = nonlocal_factor(ds, "nonlocal-hessian")
-    return _sample_nonlocal(ds, F, n, delta_w, nonlocal_source_weights(ds, F, delta_w), rng)
+    sqrt_tr = _source_weights(ds, "nonlocal-hessian", delta_w)
+    return _sample_nonlocal(ds, nonlocal_factor(ds, "nonlocal-hessian"), n, delta_w, sqrt_tr, rng)
 
 
 def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
@@ -519,14 +538,8 @@ def draw(
     rng: np.random.Generator,
     psi_table: PsiTable | None = None,
     fit_callback: Callable[[NeuronSet], RidgeModel] | None = None,
-    source_weights: np.ndarray | None = None,
 ) -> DrawResult:
-    """Run the strategy described by ``spec`` and normalize the outputs.
-
-    A nonlocal ``spec`` draws its source points from ``source_weights``, the
-    ``nonlocal_source_weights`` of ``ds`` at the spec's kind and ``delta_w``,
-    when they are given, and computes them otherwise; other kinds ignore them.
-    """
+    """Run the strategy described by ``spec`` and normalize the outputs."""
     if n < 1:
         raise ValueError("need at least one neuron")
     if spec.kind == "integral-density":
@@ -542,9 +555,6 @@ def draw(
         if fit_callback is None:
             raise ValueError("residual sampling needs a regression callback")
         return DrawResult(sample_residual(ds, spec, n, fit_callback, rng))
-    if source_weights is not None and spec.kind.startswith("nonlocal-"):
-        F = nonlocal_factor(ds, spec.kind)
-        return DrawResult(_sample_nonlocal(ds, F, n, spec.delta_w, source_weights, rng))
     return DrawResult(_sample_base(spec, ds, n, rng))
 
 

@@ -50,13 +50,19 @@ def small_config(tmp_path, **overrides):
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
-# Each entry carries a key its kind does not read, or an order_m the
-# activation does not have; the second member is what the error names.
+# Each entry carries a key its kind does not read, an order_m the activation
+# does not have, or a value out of range; the second member is what the error
+# names.
 BAD_SAMPLER_ENTRIES = [
     ({"kind": "residual", "base": "nonlocal-gradient", "delta_w": 0.01}, "delta_w"),
     ({"kind": "uniform", "safety": 3}, "safety"),
     ({"kind": "uniform", "safety": 1.5}, "safety"),  # the default is rejected too
     ({"kind": "integral-density", "order_m": 5}, "order_m"),
+    ({"kind": "nonlocal-gradient", "delta_w": float("inf")}, "delta_w"),
+    ({"kind": "integral-density", "safety": float("nan")}, "safety"),
+    ({"kind": "residual", "kappa": float("inf")}, "kappa"),
+    ({"kind": "residual", "n0": 2.5}, "n0"),
+    ({"kind": "residual", "n0": True}, "n0"),
 ]
 
 
@@ -113,6 +119,7 @@ class TestConfig:
         [
             {"activation": {"s": 3}},
             {"activation": {"delta": -1.0}},
+            {"activation": {"delta": float("inf")}},
             {"n_grid": [0]},
             {"K": 9},
             {"alpha_grid": []},
@@ -138,7 +145,7 @@ class TestConfig:
             {"samplers": []},
         ],
         ids=[
-            "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
+            "s", "delta", "delta_inf", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
             "alpha_grid_inf", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "d_float", "K_float", "replicates_float",
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
@@ -262,6 +269,22 @@ class TestRunExperiment:
         assert len(rows1) == len(rows2)
         for r1, r2 in zip(rows1, rows2):
             assert r1["test_rmse"] == r2["test_rmse"]
+
+    def test_pool_computes_source_weights_once_per_replicate(
+        self, tmp_path, source_weight_passes
+    ):
+        # the cells of a replicate share its training set's K x K pass, also
+        # when two of them run side by side
+        rows = {}
+        for workers in (1, 2):
+            source_weight_passes.clear()
+            path = small_config(tmp_path, samplers=["nonlocal-gradient"], workers=workers)
+            cfg = load_config(path)
+            rows[workers] = [{k: r[k] for k in CSV_COLUMNS if k != "wall_ms"}
+                             for r in run_experiment(cfg)]
+            assert len(source_weight_passes) == 2
+        assert len(rows[1]) == 4 and all(r["status"] == "ok" for r in rows[1])
+        assert rows[1] == rows[2]
 
     def test_residual_nonlocal_rows_ignore_shared_source_weights(self, tmp_path):
         # residual stages compute their own source weights from the residual
@@ -475,6 +498,8 @@ class TestMain:
         [
             ["--activation.s", "3"],
             ["--activation.delta", "-1"],
+            ["--activation.delta", "1e400"],
+            ["--delta_w", "1e400", "--samplers", '["nonlocal-gradient"]'],
             ["--n_grid", "[0]"],
             ["--K", "0"],
             ["--alpha_grid", "[]"],
@@ -496,8 +521,8 @@ class TestMain:
             ["--samplers", "[]"],
         ],
         ids=[
-            "s", "delta", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
-            "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
+            "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
+            "alpha_grid_zero", "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",

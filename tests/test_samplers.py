@@ -1,3 +1,8 @@
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +59,13 @@ class TestDataSet:
         H = np.array([[[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(ValueError):
             DataSet(X=np.zeros((1, 2)), y=np.zeros(1), H=H)
+
+    def test_with_gradients_keeps_no_source_weights(self):
+        rng = np.random.default_rng(45)
+        ds = gradient_dataset(rng)
+        draw(SamplerSpec(kind="nonlocal-gradient", delta_w=0.1), ds, 5, rng)
+        assert list(ds._source_weights) == [("nonlocal-gradient", 0.1)]
+        assert ds.with_gradients(-ds.G)._source_weights == {}
 
     def test_with_gradients_replaces_block(self):
         ds = DataSet(X=np.zeros((2, 2)), y=np.zeros(2))
@@ -338,20 +350,47 @@ class TestNonlocalProperties:
         assert np.allclose(blocked.a, whole.a, rtol=0.0, atol=1e-12)
         assert np.allclose(blocked.b, whole.b, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["nonlocal-gradient", "nonlocal-hessian"])
-    def test_draw_with_given_source_weights_is_bit_identical(self, kind):
+    def test_draws_on_one_dataset_share_one_pass(self, source_weight_passes):
+        # two draws on one dataset give the bits of one draw each on two fresh
+        # copies of it, and the dataset's K x K pass runs once per kind
         rng = np.random.default_rng(40)
         K, d = 60, 3
         _, H = low_rank_factors(rng, K, d, 2, hessian=True)
         ds = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=np.zeros(K),
                      G=rng.standard_normal((K, d)), H=H)
-        spec = SamplerSpec(kind=kind, delta_w=0.07)
-        sample = {"nonlocal-gradient": sample_nonlocal_gradient,
-                  "nonlocal-hessian": sample_nonlocal_hessian}[kind]
-        plain = sample(ds, 25, 0.07, np.random.default_rng(41))
-        sqrt_tr = samplers.nonlocal_source_weights(ds, samplers.nonlocal_factor(ds, kind), 0.07)
-        given = draw(spec, ds, 25, np.random.default_rng(41), source_weights=sqrt_tr).neurons
-        assert np.array_equal(given.a, plain.a) and np.array_equal(given.b, plain.b)
+        fresh = [dataclasses.replace(ds) for _ in range(2)]
+        for kind in ("nonlocal-gradient", "nonlocal-hessian"):
+            spec = SamplerSpec(kind=kind, delta_w=0.07)
+            for seed, copy in zip((41, 42), fresh):
+                shared = draw(spec, ds, 25, np.random.default_rng(seed)).neurons
+                alone = draw(spec, copy, 25, np.random.default_rng(seed)).neurons
+                assert np.array_equal(shared.a, alone.a) and np.array_equal(shared.b, alone.b)
+        # one pass per kind on the shared dataset, and one per kind on each copy
+        assert sum(args[0] is ds for args in source_weight_passes) == 2
+        assert len(source_weight_passes) == 2 + 4
+
+    def test_concurrent_draws_compute_one_pass(self, source_weight_passes):
+        # more threads than cores, released at once and switching often: every
+        # thread reads the one vector that the first of them computed
+        rng = np.random.default_rng(43)
+        ds = gradient_dataset(rng, K=600, d=3)
+        spec = SamplerSpec(kind="nonlocal-gradient", delta_w=0.05)
+        start = threading.Barrier(8)
+
+        def task(_):
+            start.wait(timeout=60)
+            return draw(spec, ds, 10, np.random.default_rng(44)).neurons
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                draws = list(pool.map(task, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(source_weight_passes) == 1
+        assert all(np.array_equal(n.a, draws[0].a) and np.array_equal(n.b, draws[0].b)
+                   for n in draws)
 
     @pytest.mark.parametrize("kind", ["nonlocal-gradient", "nonlocal-hessian"])
     def test_zero_factors_give_zero_weights_and_draw_raises(self, kind):
@@ -361,7 +400,7 @@ class TestNonlocalProperties:
         assert np.array_equal(sqrt_tr, np.zeros(K))
         spec = SamplerSpec(kind=kind, delta_w=0.1)
         with pytest.raises(ZeroTraceError):
-            draw(spec, ds, 5, np.random.default_rng(0), source_weights=sqrt_tr)
+            draw(spec, ds, 5, np.random.default_rng(0))
 
 
 def gauss1d_dataset(K=1000):

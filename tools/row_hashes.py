@@ -1,0 +1,57 @@
+"""Row hashes of the perfbench workloads, to show that a change keeps results.
+
+Usage, from the root of a checkout::
+
+    python3 tools/row_hashes.py                  # seeds 7 and 11
+    python3 tools/row_hashes.py --seeds 7 --smoke
+
+For each workload of ``perfbench/workloads.py`` and each seed it runs the
+workload's grid (at the workload's own ``workers``) with the ``gradfeat`` in
+the ``src/`` of the checkout that holds this script, and prints one line: the
+row count and the sha256 of the results CSV that ``write_results_csv`` writes,
+without its ``wall_ms`` column.  Equal lines at two commits mean equal rows.
+To hash an older commit, copy this script into its checkout and run it there.
+``--smoke`` runs the smoke sizes of ``perfbench/smoke.py`` instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from gradfeat.cli import CSV_COLUMNS, ExperimentConfig, run_experiment, write_results_csv  # noqa: E402
+from workloads import WORKLOADS, config_dict  # noqa: E402
+
+
+def row_hash(rows: list) -> str:
+    """sha256 of the results CSV of ``rows`` with the ``wall_ms`` column removed."""
+    skip = CSV_COLUMNS.index("wall_ms")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        write_results_csv(rows, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    kept = [",".join(f for i, f in enumerate(line.split(",")) if i != skip) for line in lines]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    parser.add_argument("--smoke", action="store_true", help="the smoke sizes (small K)")
+    args = parser.parse_args(argv)
+    for name in WORKLOADS:
+        for seed in args.seeds:
+            config = ExperimentConfig.from_dict(config_dict(name, seed, args.smoke))
+            rows = run_experiment(config)
+            print(f"{name} seed={seed} rows={len(rows)} sha256={row_hash(rows)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
