@@ -47,6 +47,14 @@ even when ``2 K > BLOCK_DOUBLES``, and a lone last row joins the block
 before it: numpy sends a 1-row product down its matrix-vector path, whose
 sums round differently.  Each row's mean is reduced on its own, so the
 blocks give the bits of one n x K evaluation.
+
+The integral-density sampler's rejection envelope is ``safety`` times the
+density maximum over a fixed pilot design: ``PILOT_SIZE`` uniform proposals
+from ``np.random.default_rng(PILOT_SEED)``.  That maximum depends only on the
+data and the psi table, so the first draw on a ``DataSet`` keeps it there per
+table, under the same lock as the source-point weights.  A draw then proposes
+one row block at a time, from its own stream, until the block in which its
+n-th neuron is accepted: about ``n / rate`` proposals, not a fixed batch.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ logger = logging.getLogger(__name__)
 WEIGHT_TRUNCATION = 1e-6
 BLOCK_DOUBLES = 2**15  # 256 KB: a block and its distance buffer stay in L2
 PILOT_SIZE = 10**4  # uniform proposals that calibrate the rejection envelope
+PILOT_SEED = 2410_02132  # seeds that fixed pilot design, the same for every dataset
 # The spec fields each sampler kind reads, in the order its sampler takes
 # them; config parsing, validation and dispatch all read this table.
 KIND_FIELDS = {
@@ -111,8 +120,9 @@ class DataSet:
 
     Gradients ``G`` (K x d), Hessians ``H`` (K x d x d) and density values
     ``rho`` are optional; samplers raise when a required block is missing.
-    The nonlocal samplers keep their source-point weights on the dataset, so
-    its arrays must not be written after construction.
+    Samplers keep what depends only on the data on the dataset (the nonlocal
+    source-point weights, the integral-density envelope), so its arrays must
+    not be written after construction.
     """
 
     X: np.ndarray
@@ -121,7 +131,7 @@ class DataSet:
     H: np.ndarray | None = None
     R: float = 1.0
     rho: np.ndarray | None = None
-    _source_weights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -334,18 +344,25 @@ def _sample_nonlocal(
     return NeuronSet(A, b)
 
 
-_SOURCE_WEIGHTS_LOCK = threading.Lock()
+_MEMO_LOCK = threading.Lock()
+
+
+def _memoized(ds: DataSet, key, compute: Callable):
+    """``compute()``, run on the first call for ``key`` and kept on the
+    dataset; one computation at a time, under a lock."""
+    with _MEMO_LOCK:
+        if key not in ds._memo:
+            ds._memo[key] = compute()
+        return ds._memo[key]
 
 
 def _source_weights(ds: DataSet, kind: str, delta_w: float) -> np.ndarray:
     """The ``nonlocal_source_weights`` of ``ds`` for ``kind`` at ``delta_w``,
     computed on first use and kept on the dataset."""
-    key = (kind, delta_w)
-    with _SOURCE_WEIGHTS_LOCK:
-        if key not in ds._source_weights:
-            F = nonlocal_factor(ds, kind)
-            ds._source_weights[key] = nonlocal_source_weights(ds, F, delta_w)
-        return ds._source_weights[key]
+    return _memoized(
+        ds, (kind, delta_w),
+        lambda: nonlocal_source_weights(ds, nonlocal_factor(ds, kind), delta_w),
+    )
 
 
 def sample_nonlocal_gradient(
@@ -364,6 +381,11 @@ def sample_nonlocal_hessian(
     return _sample_nonlocal(ds, nonlocal_factor(ds, "nonlocal-hessian"), n, delta_w, sqrt_tr, rng)
 
 
+def _density_block(ds: DataSet) -> int:
+    """Rows of proposals per block of the integral density (module docstring)."""
+    return max(2, BLOCK_DOUBLES // ds.n_points)
+
+
 def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
     """Data estimate of the representation density,
     ``|1/K sum_k (a.g_k) psi(a.x_k + b) / rho(x_k)|``.
@@ -380,7 +402,7 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
     A = np.atleast_2d(a)
     B = np.atleast_1d(np.asarray(b, dtype=float))
     n = A.shape[0]
-    step = max(2, BLOCK_DOUBLES // ds.n_points)
+    step = _density_block(ds)
     out = np.empty(n)
     lo = 0
     while lo < n:
@@ -395,6 +417,21 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
     return float(out[0]) if scalar else out
 
 
+def _pilot_peak(ds: DataSet, psi: PsiTable) -> float:
+    """The integral density's maximum over the fixed pilot design on ``ds``,
+    computed on first use and kept on the dataset per table."""
+
+    def pilot_max():
+        pilot = sample_uniform(ds, PILOT_SIZE, np.random.default_rng(PILOT_SEED))
+        return psi, float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b)))
+
+    # ``PsiTable`` does not hash: key on its id and keep it in the value, so
+    # that the id cannot pass to another table while the entry lives
+    table, peak = _memoized(ds, ("integral-density", id(psi)), pilot_max)
+    assert table is psi
+    return peak
+
+
 def sample_integral_density(
     ds: DataSet,
     psi: PsiTable,
@@ -405,27 +442,31 @@ def sample_integral_density(
     """Rejection sampling of the integral density under a pilot-calibrated envelope.
 
     The envelope is ``safety`` times the density maximum over ``PILOT_SIZE``
-    uniform pilot proposals (drawn from a dedicated sub-stream).  If a later proposal
-    exceeds the envelope, the envelope is doubled and collection restarts.
-    Raises :class:`AcceptanceCollapseError` when fewer than one in 1e4
-    proposals is accepted over a 1e6-proposal window.  Returns the accepted
-    neurons and the realized acceptance rate.
+    uniform pilot proposals.  The pilot is a fixed design, drawn from
+    ``np.random.default_rng(PILOT_SEED)``, so its maximum depends only on the
+    data and the table; the first draw on a ``DataSet`` keeps it there for
+    every later draw with the same table, and ``rng`` serves only the
+    proposals and the acceptance draws.  Proposals come in row blocks of the
+    size ``eval_integral_density`` evaluates at once, until the block in which
+    the n-th neuron is accepted.  If a proposal exceeds the envelope, the
+    envelope is doubled and collection restarts.  Raises
+    :class:`AcceptanceCollapseError` when fewer than one in 1e4 proposals is
+    accepted over a 1e6-proposal window.  Returns the accepted neurons and the
+    realized acceptance rate, accepted over proposed.
     """
-    if safety < 1.0:
-        raise ValueError("safety factor must be >= 1")
-    pilot_rng = rng.spawn(1)[0]
-    pilot = sample_uniform(ds, PILOT_SIZE, pilot_rng)
-    envelope = safety * float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b)))
+    if not 1.0 <= safety < math.inf:
+        raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
+    envelope = safety * _pilot_peak(ds, psi)
     if envelope <= 0.0:
         raise AllZeroGradientsError("integral density vanishes identically")
 
-    batch = 8192
+    step = _density_block(ds)
     accepted_a: list[np.ndarray] = []
     accepted_b: list[np.ndarray] = []
     n_accepted = 0
     n_proposed = 0
     while n_accepted < n:
-        proposals = sample_uniform(ds, batch, rng)
+        proposals = sample_uniform(ds, step, rng)
         A, b = proposals.a, proposals.b
         dens = eval_integral_density(ds, psi, A, b)
         peak = float(dens.max())
@@ -443,11 +484,11 @@ def sample_integral_density(
             n_accepted = 0
             n_proposed = 0
             continue
-        keep = rng.uniform(size=batch) < dens / envelope
+        keep = rng.uniform(size=step) < dens / envelope
         accepted_a.append(A[keep])
         accepted_b.append(b[keep])
         n_accepted += int(keep.sum())
-        n_proposed += batch
+        n_proposed += step
         if n_proposed >= 10**6 and n_accepted / n_proposed < 1e-4:
             raise AcceptanceCollapseError(
                 f"acceptance rate {n_accepted / n_proposed:.2e} over {n_proposed} proposals"

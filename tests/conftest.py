@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gradfeat import samplers
@@ -16,3 +17,18 @@ def source_weight_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(samplers, "nonlocal_source_weights", counted)
     return calls
+
+
+@pytest.fixture
+def density_rows(monkeypatch) -> list:
+    """A list that gains the row count of every ``eval_integral_density``
+    call the samplers make, from any thread."""
+    rows = []
+    real = samplers.eval_integral_density
+
+    def counted(ds, psi, a, b):
+        rows.append(np.atleast_2d(a).shape[0])
+        return real(ds, psi, a, b)
+
+    monkeypatch.setattr(samplers, "eval_integral_density", counted)
+    return rows

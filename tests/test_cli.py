@@ -244,7 +244,7 @@ class TestRunExperiment:
 
     def test_worker_pool_preserves_determinism(self, tmp_path):
         for sampler_list in (
-            ["uniform", "local-gradient"],
+            ["uniform", "local-gradient", "integral-density"],
             ["nonlocal-gradient", {"kind": "residual", "base": "nonlocal-gradient"}],
         ):
             cfg1 = load_config(small_config(tmp_path, samplers=sampler_list))

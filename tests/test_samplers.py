@@ -64,8 +64,8 @@ class TestDataSet:
         rng = np.random.default_rng(45)
         ds = gradient_dataset(rng)
         draw(SamplerSpec(kind="nonlocal-gradient", delta_w=0.1), ds, 5, rng)
-        assert list(ds._source_weights) == [("nonlocal-gradient", 0.1)]
-        assert ds.with_gradients(-ds.G)._source_weights == {}
+        assert list(ds._memo) == [("nonlocal-gradient", 0.1)]
+        assert ds.with_gradients(-ds.G)._memo == {}
 
     def test_with_gradients_replaces_block(self):
         ds = DataSet(X=np.zeros((2, 2)), y=np.zeros(2))
@@ -543,6 +543,76 @@ class TestSampleIntegralDensity:
         ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.zeros((2, 1)))
         with pytest.raises(AllZeroGradientsError):
             sample_integral_density(ds, flat_psi_table(), 5, 1.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("safety", [float("nan"), float("inf"), 0.5])
+    def test_bad_safety_rejected_before_any_evaluation(self, density_rows, safety):
+        ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
+        with pytest.raises(ValueError, match="safety"):
+            sample_integral_density(ds, flat_psi_table(), 5, safety, np.random.default_rng(0))
+        assert density_rows == []
+
+    def test_proposals_stop_at_the_block_that_completes_the_draw(self, density_rows):
+        # flat target: the acceptance rate is 1/safety, so n * safety proposals
+        # are expected; a draw evaluates at most one block beyond what it needs
+        K, n, safety = 256, 2000, 2.0
+        ds = DataSet(X=np.zeros((K, 1)), y=np.zeros(K), G=np.ones((K, 1)))
+        neurons, rate = sample_integral_density(
+            ds, flat_psi_table(), n, safety, np.random.default_rng(27)
+        )
+        step = max(2, samplers.BLOCK_DOUBLES // K)
+        assert len(neurons) == n and density_rows[0] == samplers.PILOT_SIZE
+        assert set(density_rows[1:]) == {step}
+        proposed = sum(density_rows[1:])
+        assert proposed <= 1.2 * n * safety + step
+        accepted = round(rate * proposed)
+        assert n <= accepted < n + step and rate == accepted / proposed
+
+
+class TestSharedEnvelope:
+    """The pilot maximum kept on the dataset, per psi table."""
+
+    def test_draws_on_one_dataset_evaluate_one_pilot(self, density_rows, psi):
+        ds = gauss1d_dataset(K=300)
+        for seed in (50, 51):
+            sample_integral_density(ds, psi, 40, 1.5, np.random.default_rng(seed))
+        assert density_rows.count(samplers.PILOT_SIZE) == 1
+        # a copy keeps no memo and computes its own, and another table its own
+        sample_integral_density(dataclasses.replace(ds), psi, 40, 1.5, np.random.default_rng(52))
+        assert density_rows.count(samplers.PILOT_SIZE) == 2
+        other = make_psi_table(0, 1, 1.0 / 80.0, radius=1.0)
+        sample_integral_density(ds, other, 40, 1.5, np.random.default_rng(53))
+        assert density_rows.count(samplers.PILOT_SIZE) == 3
+
+    def test_warm_memo_draw_equals_fresh_draw(self, psi):
+        ds = gauss1d_dataset(K=300)
+        sample_integral_density(ds, psi, 30, 1.5, np.random.default_rng(54))
+        warm, warm_rate = sample_integral_density(ds, psi, 60, 1.5, np.random.default_rng(55))
+        fresh, fresh_rate = sample_integral_density(
+            gauss1d_dataset(K=300), psi, 60, 1.5, np.random.default_rng(55)
+        )
+        assert np.array_equal(warm.a, fresh.a) and np.array_equal(warm.b, fresh.b)
+        assert warm_rate == fresh_rate
+
+    def test_concurrent_draws_compute_one_pilot(self, density_rows, psi):
+        # as test_concurrent_draws_compute_one_pass, for the envelope
+        ds = gauss1d_dataset(K=300)
+        start = threading.Barrier(8)
+
+        def task(_):
+            start.wait(timeout=60)
+            return sample_integral_density(ds, psi, 20, 1.5, np.random.default_rng(56))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                draws = list(pool.map(task, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert density_rows.count(samplers.PILOT_SIZE) == 1
+        first, rate = draws[0]
+        assert all(np.array_equal(ns.a, first.a) and np.array_equal(ns.b, first.b) and r == rate
+                   for ns, r in draws)
 
 
 RESIDUAL_LOCAL = SamplerSpec(
