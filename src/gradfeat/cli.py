@@ -41,7 +41,6 @@ from .regression import (
 from .samplers import (
     AcceptanceCollapseError,
     AllZeroGradientsError,
-    DeltaZeroError,
     KIND_FIELDS,
     MissingGradientsError,
     MissingHessiansError,
@@ -71,9 +70,8 @@ _CELL_ERRORS = {
     MissingHessiansError: "missing-hessians",
     AllZeroGradientsError: "all-zero-gradients",
     ZeroTraceError: "zero-trace",
-    DeltaZeroError: "delta-zero",
+    NonsmoothModelError: "delta-zero",
     AcceptanceCollapseError: "acceptance-collapse",
-    NonsmoothModelError: "nonsmooth-model",
     GridResolutionError: "grid-resolution",
 }
 
@@ -104,7 +102,6 @@ class ExperimentConfig:
     master_seed: int = 12345
     output_dir: str = "results"
     workers: int = 1
-    include_poly: bool = True
 
     def __post_init__(self) -> None:
         for name in ("d", "K", "replicates", "test_size", "master_seed", "workers"):
@@ -150,8 +147,6 @@ class ExperimentConfig:
             (_is_int(sigma) or isinstance(sigma, (float, np.floating))) and 0.0 <= sigma < np.inf
         ):
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if not isinstance(self.include_poly, (bool, np.bool_)):
-            raise ConfigError(f"include_poly must be true or false, got {self.include_poly!r}")
         if not self.samplers:
             raise ConfigError("samplers must name at least one sampler")
 
@@ -233,17 +228,26 @@ def write_results_csv(rows: list, path) -> None:
 
 
 def read_results_csv(path) -> list:
+    """The rows of a results CSV; a file that cannot be read or parsed is a ConfigError."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            row = dict(zip(header, parts))
-            for key in ("d", "N", "replicate"):
-                row[key] = int(row[key])
-            for key in ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms"):
-                row[key] = float(row[key]) if row.get(key) else None
-            rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"no columns {missing}")
+            for line in fh:
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != len(header):
+                    raise ValueError(f"a row has {len(parts)} fields, the header {len(header)}")
+                row = dict(zip(header, parts))
+                for key in ("d", "N", "replicate"):
+                    row[key] = int(row[key])
+                for key in ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms"):
+                    row[key] = float(row[key]) if row[key] else None
+                rows.append(row)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read results {path}: {exc}") from exc
     return rows
 
 
@@ -272,10 +276,7 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
         )
 
         def fit(neurons):
-            return cross_validate(
-                train, val, neurons, config.activation, config.alpha_grid,
-                include_poly=config.include_poly,
-            )
+            return cross_validate(train, val, neurons, config.activation, config.alpha_grid)
 
         return train, test, fit
 
@@ -439,6 +440,10 @@ def write_convergence_svg(summary: list, path) -> None:
 
 def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path:
     """Write the neurons that replicate ``seed`` of a run draws for ``sampler`` at N=n."""
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = parse_sampler_entry(sampler, config)
     with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
         master, psi_table, datasets = _prepare(config, [spec], [seed])
@@ -507,14 +512,17 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("export-weights", help="dump sampled weights as plain text")
     p_exp.add_argument("config")
-    p_exp.add_argument("--sampler", required=True)
+    p_exp.add_argument("--sampler", type=_coerce, required=True, help="a config sampler entry")
     p_exp.add_argument("--n", type=int, required=True)
     p_exp.add_argument("--seed", type=int, default=0)
     _add_override_flags(p_exp)
 
     sub.add_parser("list-benchmarks", help="show supported benchmark names")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 1, as config errors do; 2 means failed cells
+        return 1 if exc.code else 0
     try:
         if args.command == "run":
             config = load_config(args.config, args)

@@ -1,12 +1,13 @@
 """Feature matrices, ridge solves, cross-validation, and model evaluation.
 
 The outer-weight problem is ``min_c ||Phi c - y||^2 / (2K) + alpha N |c|^2 / 2``.
-Optional polynomial columns ``P`` (constant for s=1, affine for s=2) are
-unregularized.  One R-only Householder QR of ``[P | F | y]`` eliminates them
-and leaves the ridge problem in blocks ``R_ff``, ``r_fy``; one SVD
-``R_ff = U S V^T`` gives the neuron weights for every alpha as the filter
-``c = V diag(s / (s^2 + K alpha N)) U^T r_fy`` without squaring the condition
-number, and the train error as ``||r_fy - R_ff c||`` with no K-row product.
+The polynomial columns ``P`` (constant for s=1, affine for s=2) that every
+model carries are unregularized.  One R-only Householder QR of
+``[P | F | y]`` eliminates them and leaves the ridge problem in blocks
+``R_ff``, ``r_fy``; one SVD ``R_ff = U S V^T`` gives the neuron weights for
+every alpha as the filter ``c = V diag(s / (s^2 + K alpha N)) U^T r_fy``
+without squaring the condition number, and the train error as
+``||r_fy - R_ff c||`` with no K-row product.
 
 The polynomial part solves the upper-triangular ``R_pp`` with
 ``np.linalg.solve``, which keeps gradfeat on numpy's one BLAS runtime.  It is
@@ -36,13 +37,12 @@ class RidgeModel:
     """Sampled neurons with fitted outer weights ``c`` and polynomial part.
 
     ``poly`` holds the unregularized coefficients: ``[p0]`` for s=1,
-    ``[p0, p1, ..., pd]`` for s=2 (constant plus linear), or ``None`` when the
-    polynomial block is disabled.
+    ``[p0, p1, ..., pd]`` for s=2 (constant plus linear).
     """
 
     neurons: NeuronSet
     c: np.ndarray
-    poly: np.ndarray | None
+    poly: np.ndarray
     activation: ActivationSpec
 
     def __post_init__(self) -> None:
@@ -50,7 +50,7 @@ class RidgeModel:
             raise ValueError("outer weight length does not match neuron count")
         if not np.all(np.isfinite(self.c)):
             raise ValueError("non-finite outer weights")
-        if self.poly is not None and not np.all(np.isfinite(self.poly)):
+        if not np.all(np.isfinite(self.poly)):
             raise ValueError("non-finite polynomial coefficients")
 
 
@@ -65,16 +65,12 @@ class FitReport:
     chosen_index: int
 
 
-def poly_width(activation: ActivationSpec, d: int, include_poly: bool = True) -> int:
-    """Number of appended polynomial columns: 1 for s=1, d+1 for s=2, 0 if off."""
-    if not include_poly:
-        return 0
+def poly_width(activation: ActivationSpec, d: int) -> int:
+    """Number of appended polynomial columns: 1 for s=1, d+1 for s=2."""
     return 1 if activation.s == 1 else d + 1
 
 
-def feature_matrix(
-    X, neurons: NeuronSet, activation: ActivationSpec, include_poly: bool = True
-) -> np.ndarray:
+def feature_matrix(X, neurons: NeuronSet, activation: ActivationSpec) -> np.ndarray:
     """Matrix ``Phi[k, n] = sigma(a_n . x_k + b_n)``, poly columns appended last.
 
     The activations are computed in place in the pre-activation array, whose
@@ -86,8 +82,6 @@ def feature_matrix(
     pre = X @ neurons.a.T
     pre += neurons.b
     eval_activation(activation, pre, out=pre)
-    if not include_poly:
-        return pre
     n = len(neurons)
     phi = np.empty((X.shape[0], n + poly_width(activation, X.shape[1])))
     phi[:, :n] = pre
@@ -154,7 +148,6 @@ def cross_validate(
     neurons: NeuronSet,
     activation: ActivationSpec,
     alpha_grid=None,
-    include_poly: bool = True,
 ) -> tuple[RidgeModel, FitReport]:
     """Grid-search the ridge parameter with the 5-percent rule.
 
@@ -169,9 +162,9 @@ def cross_validate(
     if grid.size > 1 and not np.all(np.diff(grid) < 0):
         raise ValueError("alpha grid must be strictly descending")
 
-    n_poly = poly_width(activation, ds_train.X.shape[1], include_poly)
-    phi_train = feature_matrix(ds_train.X, neurons, activation, include_poly)
-    phi_val = feature_matrix(ds_val.X, neurons, activation, include_poly)
+    n_poly = poly_width(activation, ds_train.X.shape[1])
+    phi_train = feature_matrix(ds_train.X, neurons, activation)
+    phi_val = feature_matrix(ds_val.X, neurons, activation)
 
     coefs, sse_train = _ridge_path(phi_train, ds_train.y, grid, n_poly)
     sse_val = np.sum((phi_val @ coefs - ds_val.y[:, None]) ** 2, axis=0)
@@ -184,7 +177,7 @@ def cross_validate(
     model = RidgeModel(
         neurons=neurons,
         c=coef[:n_neurons],
-        poly=coef[n_neurons:] if n_poly else None,
+        poly=coef[n_neurons:],
         activation=activation,
     )
     report = FitReport(
@@ -199,11 +192,9 @@ def cross_validate(
 
 def eval_model(model: RidgeModel, X) -> np.ndarray:
     """Predictions ``sum_n c_n sigma(a_n . x + b_n) + p0(x)``."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    include_poly = model.poly is not None
-    phi = feature_matrix(X, model.neurons, model.activation, include_poly)
-    coef = np.concatenate([model.c, model.poly]) if include_poly else model.c
-    return phi @ coef
+    return feature_matrix(X, model.neurons, model.activation) @ np.concatenate(
+        [model.c, model.poly]
+    )
 
 
 def eval_model_gradient(model: RidgeModel, X) -> np.ndarray:
@@ -223,6 +214,6 @@ def eval_model_gradient(model: RidgeModel, X) -> np.ndarray:
     else:
         slope = eval_activation(ActivationSpec(s=1, delta=act.delta), pre)
     grads = (slope * model.c) @ model.neurons.a
-    if act.s == 2 and model.poly is not None:
+    if act.s == 2:
         grads = grads + model.poly[1:]
     return grads

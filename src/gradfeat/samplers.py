@@ -106,10 +106,6 @@ class ZeroTraceError(ValueError):
     """All mixture covariances have zero trace."""
 
 
-class DeltaZeroError(ValueError):
-    """Residual sampling needs a smoothed model (delta > 0)."""
-
-
 class AcceptanceCollapseError(RuntimeError):
     """Rejection sampling acceptance rate fell below 1e-4."""
 
@@ -543,7 +539,8 @@ def sample_residual(
     regression), subtracts the model gradient from the data gradients, and
     samples the next batch from the residual gradients.  An exactly fitted
     stage (all residual gradients zero) stops early.  The final neurons are
-    returned unfitted.
+    returned unfitted.  A Heaviside model (s=1, delta=0) has no gradient, so
+    the first later stage raises ``NonsmoothModelError``.
     """
     _require_gradients(ds)
     if spec.kind != "residual":
@@ -551,10 +548,7 @@ def sample_residual(
     counts = residual_schedule(spec.kappa, spec.n0, n_target)
     neurons = _sample_base(spec.base, ds, counts[0], rng)
     for target in counts[1:]:
-        model = fit_callback(neurons)
-        if model.activation.s == 1 and model.activation.delta == 0.0:
-            raise DeltaZeroError("residual stages need delta > 0 to evaluate model gradients")
-        resid = ds.G - eval_model_gradient(model, ds.X)
+        resid = ds.G - eval_model_gradient(fit_callback(neurons), ds.X)
         try:
             fresh = _sample_base(spec.base, ds.with_gradients(resid), target - len(neurons), rng)
         except (AllZeroGradientsError, ZeroTraceError):

@@ -270,7 +270,7 @@ def test_criterion_08_solver_suite():
         X = rng.uniform(-0.5, 0.5, (150, 3))
         y = 1.2 + X @ np.array([0.5, -2.0, 0.1])
         neurons = sample_uniform(DataSet(X=X, y=y), 30, rng)
-        phi = feature_matrix(X, neurons, act2, include_poly=True)
+        phi = feature_matrix(X, neurons, act2)
         coef = ridge_solve(phi, y, 1e-10, n_poly=4)
         model = RidgeModel(neurons, coef[:30], coef[30:], act2)
         X_new = rng.uniform(-0.5, 0.5, (300, 3))

@@ -226,12 +226,18 @@ class TestRunExperiment:
         )
 
     def test_failed_cell_recorded_not_raised(self, tmp_path):
-        # residual sampling with delta = 0 fails per cell with delta-zero
+        # residual sampling with delta = 0 fails per cell with delta-zero,
+        # whatever the base draws from
         cfg = load_config(
             small_config(
                 tmp_path,
-                samplers=["uniform", {"kind": "residual", "n0": 4}],
+                samplers=[
+                    "uniform",
+                    {"kind": "residual", "n0": 4},
+                    {"kind": "residual", "base": "nonlocal-gradient", "n0": 4},
+                ],
                 activation={"s": 1, "delta": 0.0},
+                delta_w=0.025,  # the nonlocal weight width, 2 * delta by default
                 n_grid=[12],
                 replicates=1,
             )
@@ -239,8 +245,12 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         by_sampler = {r["sampler"]: r for r in rows}
         assert by_sampler["uniform"]["status"] == "ok"
-        assert by_sampler["residual-local-gradient"]["status"] == "delta-zero"
-        assert by_sampler["residual-local-gradient"]["test_rmse"] is None
+        for label in ("residual-local-gradient", "residual-nonlocal-gradient"):
+            assert by_sampler[label]["status"] == "delta-zero"
+            assert by_sampler[label]["test_rmse"] is None
+
+    def test_each_cell_error_has_its_own_status(self):
+        assert len(set(cli._CELL_ERRORS.values())) == len(cli._CELL_ERRORS)
 
     def test_worker_pool_preserves_determinism(self, tmp_path):
         for sampler_list in (
@@ -390,7 +400,7 @@ configs = [
                      samplers=["nonlocal-hessian", "integral-density"], **common),
 ]
 for config in configs:
-    assert config.include_poly and config.delta > 0.0
+    assert config.delta > 0.0
     rows = run_experiment(config)
     assert len(rows) == 2 and all(r["status"] == "ok" for r in rows), rows
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
@@ -492,6 +502,51 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="not-a-benchmark")
         assert main(["run", str(config_path)]) == 1
+
+    def test_include_poly_is_an_unknown_field(self, tmp_path, capsys):
+        # every model carries its polynomial block; the old switch is rejected
+        assert main(["run", str(small_config(tmp_path, include_poly=True))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config fields" in err and "include_poly" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "CONFIG", "--include_poly", "true"],
+            ["run", "CONFIG", "--bogus", "1"],
+            ["frobnicate"],
+            [],
+            ["export-weights", "CONFIG", "--sampler", "uniform"],
+            ["export-weights", "CONFIG", "--sampler", "uniform", "--n", "ten"],
+        ],
+        ids=["include_poly_flag", "unknown_flag", "unknown_command", "no_command",
+             "export_without_n", "export_n_not_int"],
+    )
+    def test_usage_error_exit_code(self, tmp_path, argv):
+        # 2 is left to mean that a run finished with failed cells
+        config_path = str(small_config(tmp_path))
+        assert main([config_path if a == "CONFIG" else a for a in argv]) == 1
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["run", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content, names",
+        [(None, "No such file"), ("benchmark,sampler\ngauss1d,uniform\n", "'d'"),
+         (",".join(CSV_COLUMNS) + "\ngauss1d,1,uniform\n", "3 fields"),
+         (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n", "'x'")],
+        ids=["missing", "no_d_column", "short_row", "bad_int"],
+    )
+    def test_summarize_unreadable_results(self, tmp_path, capsys, content, names):
+        path = tmp_path / "results.csv"
+        if content is not None:
+            path.write_text(content)
+        assert main(["summarize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot read results {path}") and names in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -635,6 +690,30 @@ class TestExportWeights:
             texts.append((cwd / "out" / "weights_residual-local-gradient_N150_seed0.txt").read_bytes())
         assert len(texts[0].splitlines()) == 150
         assert texts[0] == texts[1]
+
+    def test_takes_a_json_sampler_entry(self, tmp_path):
+        # as a config's sampler list does, e.g. corner_max's residual on nonlocal-gradient
+        config_path = small_config(tmp_path)
+        entry = '{"kind": "residual", "base": "nonlocal-gradient", "n0": 4}'
+        argv = ["export-weights", str(config_path), "--sampler", entry, "--n", "20"]
+        assert main(argv) == 0
+        text = (tmp_path / "out" / "weights_residual-nonlocal-gradient_N20_seed0.txt").read_text()
+        assert len(text.splitlines()) == 20
+        sampler = {"kind": "residual", "base": "nonlocal-gradient", "n0": 4}
+        again = export_weights(load_config(config_path), sampler, 20, seed=0)
+        assert again.read_text() == text
+        assert main(argv[:3] + ['"uniform"', "--n", "5"]) == 0
+
+    @pytest.mark.parametrize("n, seed, names", [(0, 0, "n must be"), (5, -1, "seed must be")])
+    def test_bad_n_or_seed_rejected(self, tmp_path, capsys, n, seed, names):
+        config_path = small_config(tmp_path)
+        with pytest.raises(ConfigError, match=names):
+            export_weights(load_config(config_path), "uniform", n, seed)
+        argv = ["export-weights", str(config_path), "--sampler", "uniform",
+                "--n", str(n), "--seed", str(seed)]
+        assert main(argv) == 1
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_via_main(self, tmp_path):
         config_path = small_config(tmp_path)

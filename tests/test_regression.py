@@ -38,18 +38,18 @@ class TestFeatureMatrix:
     def test_heaviside_entries_binary(self):
         rng = np.random.default_rng(0)
         ds, neurons = random_problem(rng, activation=HEAVISIDE)
-        phi = feature_matrix(ds.X, neurons, HEAVISIDE, include_poly=False)
+        phi = feature_matrix(ds.X, neurons, HEAVISIDE)[:, :len(neurons)]
         assert set(np.unique(phi)) <= {0.0, 1.0}
 
     def test_relu_single_neuron(self):
         neurons = NeuronSet(np.array([[1.0, 0.0]]), np.array([0.0]))
-        phi = feature_matrix(np.array([[2.0, 5.0]]), neurons, RELU, include_poly=False)
+        phi = feature_matrix(np.array([[2.0, 5.0]]), neurons, RELU)[:, :1]
         assert phi[0, 0] == 2.0
 
     def test_columns_match_activation(self):
         rng = np.random.default_rng(1)
         ds, neurons = random_problem(rng)
-        phi = feature_matrix(ds.X, neurons, SIGMOID, include_poly=False)
+        phi = feature_matrix(ds.X, neurons, SIGMOID)[:, :len(neurons)]
         n = 7
         from gradfeat.activation import eval_activation
 
@@ -63,25 +63,23 @@ class TestFeatureMatrix:
         N=st.integers(1, 30),
         d=st.integers(1, 4),
         activation=st.sampled_from([HEAVISIDE, SIGMOID, RELU, SOFTPLUS]),
-        include_poly=st.booleans(),
     )
-    def test_matches_stacked_columns_bits(self, seed, K, N, d, activation, include_poly):
+    def test_matches_stacked_columns_bits(self, seed, K, N, d, activation):
         # the activations and polynomial columns built in place are the bits
         # of the pre-activation sum, activation and column stack built apart
         rng = np.random.default_rng(seed)
         ds, neurons = random_problem(rng, K=K, N=N, d=d)
-        phi = feature_matrix(ds.X, neurons, activation, include_poly)
-        blocks = [eval_activation(activation, ds.X @ neurons.a.T + neurons.b)]
-        if include_poly:
-            blocks.append(_poly_block(ds.X, poly_width(activation, d)))
-        ref = np.hstack(blocks)
+        phi = feature_matrix(ds.X, neurons, activation)
+        ref = np.hstack([
+            eval_activation(activation, ds.X @ neurons.a.T + neurons.b),
+            _poly_block(ds.X, poly_width(activation, d)),
+        ])
         assert phi.shape == ref.shape
         assert np.array_equal(phi.view(np.int64), ref.view(np.int64))
 
     def test_poly_block_widths(self):
         assert poly_width(HEAVISIDE, 3) == 1
         assert poly_width(RELU, 3) == 4
-        assert poly_width(RELU, 3, include_poly=False) == 0
 
 
 class TestRidgeSolve:
@@ -176,10 +174,10 @@ class TestRidgeSolve:
         rng = np.random.default_rng(7)
         ds, neurons = random_problem(rng, K=150, N=60)
         alpha = 1e-5
-        phi = feature_matrix(ds.X, neurons, SIGMOID, include_poly=False)
+        phi = feature_matrix(ds.X, neurons, SIGMOID)[:, :len(neurons)]
         c = ridge_solve(phi, ds.y, alpha)
         X_test = rng.uniform(-0.5, 0.5, (30, 3))
-        phi_test = feature_matrix(X_test, neurons, SIGMOID, include_poly=False)
+        phi_test = feature_matrix(X_test, neurons, SIGMOID)[:, :len(neurons)]
         direct = phi_test @ c
         N = len(neurons)
         gram = phi @ phi.T / N
@@ -195,7 +193,7 @@ class TestRidgeSolve:
         ds = DataSet(X=X, y=y)
         act = ActivationSpec(2, 1.0 / 40.0)
         neurons = sample_uniform(ds, 25, rng)
-        phi = feature_matrix(X, neurons, act, include_poly=True)
+        phi = feature_matrix(X, neurons, act)
         c = ridge_solve(phi, y, 1e-10, n_poly=d + 1)
         X_new = rng.uniform(-0.5, 0.5, (200, d))
         y_new = 0.7 - 2.0 * X_new[:, 0] + 0.25 * X_new[:, 2]
@@ -290,20 +288,17 @@ class TestRidgeProperties:
         N=st.integers(1, 80),
         d=st.integers(1, 3),
         activation=st.sampled_from([SIGMOID, RELU]),
-        include_poly=st.booleans(),
     )
-    def test_cross_validate_errors_match_single_solves(
-        self, seed, K, N, d, activation, include_poly
-    ):
+    def test_cross_validate_errors_match_single_solves(self, seed, K, N, d, activation):
         rng = np.random.default_rng(seed)
         train = DataSet(X=rng.uniform(-0.5, 0.5, (K, d)), y=rng.standard_normal(K))
         val = DataSet(X=rng.uniform(-0.5, 0.5, (K // 2, d)), y=rng.standard_normal(K // 2))
         neurons = sample_uniform(train, N, rng)
-        _, report = cross_validate(train, val, neurons, activation, include_poly=include_poly)
+        _, report = cross_validate(train, val, neurons, activation)
 
-        n_poly = poly_width(activation, d, include_poly)
-        phi_train = feature_matrix(train.X, neurons, activation, include_poly)
-        phi_val = feature_matrix(val.X, neurons, activation, include_poly)
+        n_poly = poly_width(activation, d)
+        phi_train = feature_matrix(train.X, neurons, activation)
+        phi_val = feature_matrix(val.X, neurons, activation)
         phi_union = np.vstack([phi_train, phi_val])
         y_union = np.concatenate([train.y, val.y])
         for i, alpha in enumerate(report.alpha_grid):
@@ -367,12 +362,11 @@ class TestCrossValidate:
 
 
 class TestEvalModel:
-    def make_model(self, rng, N=10, d=2, act=SIGMOID, poly=True):
+    def make_model(self, rng, N=10, d=2, act=SIGMOID):
         ds = DataSet(X=rng.uniform(-0.5, 0.5, (40, d)), y=rng.standard_normal(40))
         neurons = sample_uniform(ds, N, rng)
-        n_poly = poly_width(act, d, poly)
         c = rng.standard_normal(N)
-        p = rng.standard_normal(n_poly) if n_poly else None
+        p = rng.standard_normal(poly_width(act, d))
         return RidgeModel(neurons=neurons, c=c, poly=p, activation=act), ds
 
     def test_zero_model(self):
@@ -385,7 +379,7 @@ class TestEvalModel:
         from gradfeat.activation import eval_activation
 
         neurons = NeuronSet(np.array([[0.6, 0.8]]), np.array([0.1]))
-        model = RidgeModel(neurons, np.array([1.0]), None, SIGMOID)
+        model = RidgeModel(neurons, np.array([1.0]), np.zeros(poly_width(SIGMOID, 2)), SIGMOID)
         X = np.array([[0.2, -0.3]])
         assert eval_model(model, X)[0] == pytest.approx(
             eval_activation(SIGMOID, X[0] @ neurons.a[0] + 0.1)
@@ -395,9 +389,10 @@ class TestEvalModel:
         rng = np.random.default_rng(14)
         model, ds = self.make_model(rng)
         c2 = rng.standard_normal(10)
-        m2 = RidgeModel(model.neurons, c2, None, model.activation)
-        m1 = RidgeModel(model.neurons, model.c, None, model.activation)
-        msum = RidgeModel(model.neurons, model.c + c2, None, model.activation)
+        zero_poly = np.zeros(poly_width(model.activation, 2))
+        m2 = RidgeModel(model.neurons, c2, zero_poly, model.activation)
+        m1 = RidgeModel(model.neurons, model.c, zero_poly, model.activation)
+        msum = RidgeModel(model.neurons, model.c + c2, zero_poly, model.activation)
         lhs = eval_model(msum, ds.X)
         rhs = eval_model(m1, ds.X) + eval_model(m2, ds.X)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -414,7 +409,8 @@ class TestEvalModelGradient:
     def test_bump_on_hyperplane(self):
         delta = 1.0 / 80.0
         neurons = NeuronSet(np.array([[1.0, 0.0]]), np.array([-0.25]))
-        model = RidgeModel(neurons, np.array([2.0]), None, ActivationSpec(1, delta))
+        act = ActivationSpec(1, delta)
+        model = RidgeModel(neurons, np.array([2.0]), np.zeros(poly_width(act, 2)), act)
         g = eval_model_gradient(model, np.array([[0.25, 0.7]]))
         assert np.allclose(g[0], 2.0 * (0.25 / delta) * np.array([1.0, 0.0]))
 
@@ -439,6 +435,6 @@ class TestEvalModelGradient:
 
     def test_heaviside_has_no_gradient(self):
         neurons = NeuronSet(np.array([[1.0]]), np.array([0.0]))
-        model = RidgeModel(neurons, np.array([1.0]), None, HEAVISIDE)
+        model = RidgeModel(neurons, np.array([1.0]), np.zeros(poly_width(HEAVISIDE, 1)), HEAVISIDE)
         with pytest.raises(NonsmoothModelError):
             eval_model_gradient(model, np.array([[0.5]]))

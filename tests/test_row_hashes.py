@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,21 @@ def test_smoke_row_hashes_repeat_one_line_per_cell():
     assert all(k[4] == "replicate=0" for k in keys)
     assert all(len(line.rpartition(" sha256=")[2]) == 64 for line in lines)
     assert run_row_hashes("--rows") == first
+
+
+def test_config_hashes_repeat_one_line_per_seed(tmp_path):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "benchmark": "gauss1d", "d": 1, "K": 1000, "sampling": "grid",
+        "samplers": ["uniform", {"kind": "residual", "n0": 4}], "n_grid": [8, 16],
+        "replicates": 20, "output_dir": str(tmp_path / "out"),
+    }))
+    first = run_row_hashes("--config", str(config), "--seeds", "3", "5")
+    lines = first.splitlines()
+    # samplers x N values x the 2 replicates the script sets
+    assert [line.split()[:3] for line in lines] == [
+        ["tiny", f"seed={seed}", "rows=8"] for seed in (3, 5)
+    ]
+    assert all(len(line.rpartition(" sha256=")[2]) == 64 for line in lines)
+    assert lines[0].rpartition(" ")[2] != lines[1].rpartition(" ")[2]
+    assert run_row_hashes("--config", str(config), "--seeds", "3", "5") == first

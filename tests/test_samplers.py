@@ -14,12 +14,11 @@ from gradfeat.activation import ActivationSpec, PsiTable, eval_bump, make_psi_ta
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
 from gradfeat import samplers
-from gradfeat.regression import RidgeModel, eval_model_gradient
+from gradfeat.regression import NonsmoothModelError, RidgeModel, eval_model_gradient, poly_width
 from gradfeat.samplers import (
     AcceptanceCollapseError,
     AllZeroGradientsError,
     DataSet,
-    DeltaZeroError,
     MissingGradientsError,
     MissingHessiansError,
     SamplerSpec,
@@ -658,7 +657,7 @@ class TestResidual:
         target = RidgeModel(
             neurons=NeuronSet(np.array([[0.6, 0.8]]), np.array([0.1])),
             c=np.array([1.5]),
-            poly=None,
+            poly=np.zeros(poly_width(act, 2)),
             activation=act,
         )
         ds = DataSet(X=X, y=np.zeros(40), G=eval_model_gradient(target, X))
@@ -669,13 +668,14 @@ class TestResidual:
     def test_delta_zero_rejected(self):
         rng = np.random.default_rng(29)
         ds = gradient_dataset(rng, K=20)
+        heaviside = ActivationSpec(1, 0.0)
         heaviside_model = RidgeModel(
             neurons=NeuronSet(np.array([[1.0, 0.0]]), np.array([0.0])),
             c=np.array([1.0]),
-            poly=None,
-            activation=ActivationSpec(1, 0.0),
+            poly=np.zeros(poly_width(heaviside, 2)),
+            activation=heaviside,
         )
-        with pytest.raises(DeltaZeroError):
+        with pytest.raises(NonsmoothModelError):
             sample_residual(ds, RESIDUAL_LOCAL, 32, lambda _: heaviside_model, rng)
 
     def test_bad_base_rejected(self):
