@@ -9,6 +9,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
+import threading
 from contextlib import contextmanager
 
 import numpy  # noqa: F401  -- loads the OpenBLAS looked for here
@@ -20,6 +21,9 @@ _SYMBOLS = (
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+_PIN_LOCK = threading.Lock()
+_pin = {"depth": 0, "saved": None}  # blocks inside one_thread, the count before them
 
 
 @functools.cache
@@ -52,16 +56,23 @@ def threads() -> int | None:
 def one_thread():
     """Pin numpy's OpenBLAS to one thread for the block, then restore the count.
 
-    Where no OpenBLAS is found the block runs unpinned.
+    Of overlapping blocks on any threads, the first saves the count and pins
+    it, and the last restores it.  Where no OpenBLAS is found it runs unpinned.
     """
     found = _openblas()
     if found is None:
         yield
         return
     get, set_ = found
-    before = get()
-    set_(1)
+    with _PIN_LOCK:
+        if _pin["depth"] == 0:
+            _pin["saved"] = get()
+            set_(1)
+        _pin["depth"] += 1
     try:
         yield
     finally:
-        set_(before)
+        with _PIN_LOCK:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                set_(_pin["saved"])

@@ -72,7 +72,6 @@ _CELL_ERRORS = {
     ZeroTraceError: "zero-trace",
     NonsmoothModelError: "delta-zero",
     AcceptanceCollapseError: "acceptance-collapse",
-    GridResolutionError: "grid-resolution",
 }
 
 
@@ -321,8 +320,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     whole run, set-up and cells, holds numpy's OpenBLAS at one thread
     (``_blas.one_thread``), so that a cell's bits do not depend on the host's
     core count and ``workers`` alone sets the parallelism.  The count is
-    process-wide and restored on return: do not run other BLAS work beside a
-    run in the same process.
+    process-wide; it is restored when the last of the runs in flight returns.
     """
     specs = [parse_sampler_entry(e, config) for e in config.samplers]
     labels = [s.label for s in specs]
@@ -558,7 +556,7 @@ def main(argv=None) -> int:
             for name, dims in supported_benchmarks().items():
                 print(f"{name}: d in {list(dims)}")
             return 0
-    except (ConfigError, UnknownBenchmarkError, GridSizeError) as exc:
+    except (ConfigError, UnknownBenchmarkError, GridSizeError, GridResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -33,13 +33,15 @@ rather than per block, so each coordinate it reads is a contiguous column.
 
 A draw picks its source points proportional to ``sqrt(tr C_k)``, which
 depends only on the points, the factors and ``delta_w``.
-``nonlocal_source_weights`` computes that vector in one K x K pass, and the
-first nonlocal draw on a ``DataSet`` keeps it there per (kind, ``delta_w``),
-one pass at a time under a lock, for every later draw to read.  Residual
-stages draw on ``with_gradients`` copies, which keep none, so they compute
-theirs at every stage from the residual gradients.  Neither the sharing nor
-the column layout changes the arithmetic, so the draws are bit for bit those
-of computing everything per draw.
+``nonlocal_source_weights`` computes it from the K x K weights on or above
+the diagonal only, as ``w`` is symmetric: row blocks ``lo:hi`` against columns
+``lo:K``, ``max(1, BLOCK_DOUBLES // (K - lo))`` rows high, so blocks grow as
+their rows get shorter.  The first nonlocal draw on a ``DataSet`` keeps the
+vector there per (kind, ``delta_w``), one pass at a time under a lock, for
+every later draw to read.  Residual stages draw on ``with_gradients`` copies,
+which keep none, so they take the pass at every stage.  Neither the sharing
+nor the column layout changes the arithmetic, so the draws are bit for bit
+those of computing everything per draw.
 
 The integral density evaluates its proposals against the K data points in
 row blocks of the same bound, except that a block holds at least 2 rows
@@ -253,15 +255,14 @@ def sample_local_gradient(ds: DataSet, n: int, rng: np.random.Generator) -> Neur
     return NeuronSet(A * signs[:, None], b * signs)
 
 
-def _mixing_weights(X: np.ndarray, rows, delta_w: float) -> np.ndarray:
-    """``w(x_k, x')`` for the points ``k`` in ``rows`` against every point.
+def _mixing_weights(Xr: np.ndarray, X: np.ndarray, delta_w: float) -> np.ndarray:
+    """``w(x, x')`` for the row points ``Xr`` against the column points ``X``.
 
     The squared distances are summed one coordinate at a time, so no array
-    holds more than ``len(X[rows]) * K`` doubles.  Callers pass ``X`` in
+    holds more than ``len(Xr) * len(X)`` doubles.  Callers pass ``X`` in
     Fortran order, so that each coordinate ``X[:, j]`` is a contiguous column;
     the layout does not change the bits.
     """
-    Xr = X[rows]
     sq = np.zeros((Xr.shape[0], X.shape[0]))
     for j in range(X.shape[1]):
         diff = np.subtract.outer(Xr[:, j], X[:, j])
@@ -287,20 +288,25 @@ def nonlocal_source_weights(ds: DataSet, F: np.ndarray, delta_w: float) -> np.nd
     The nonlocal draw picks its source points proportional to this vector.
     It depends only on the points, the factors and ``delta_w``, so one vector
     serves every draw on the same data; an all-zero vector is returned as is
-    and the draw raises :class:`ZeroTraceError`.
+    and the draw raises :class:`ZeroTraceError`.  Only the blocks of ``w`` on
+    or above the diagonal are built (module docstring); a block serves its own
+    rows and, transposed, the rows below it.
     """
     if not delta_w > 0.0:
         raise ValueError("delta_w must be positive")
     K = F.shape[0]
     sq_norms = np.sum(F**2, axis=(1, 2))
     X = np.asfortranarray(ds.X)
-    step = max(1, BLOCK_DOUBLES // K)
-    return np.concatenate(
-        [
-            np.sqrt(_mixing_weights(X, slice(lo, lo + step), delta_w) ** 2 @ sq_norms)
-            for lo in range(0, K, step)
-        ]
-    )
+    tr = np.zeros(K)
+    lo = 0
+    while lo < K:
+        hi = min(K, lo + max(1, BLOCK_DOUBLES // (K - lo)))
+        W2 = _mixing_weights(X[lo:hi], X[lo:], delta_w)
+        W2 *= W2
+        tr[lo:hi] += W2 @ sq_norms[lo:]
+        tr[hi:] += sq_norms[lo:hi] @ W2[:, hi - lo :]
+        lo = hi
+    return np.sqrt(tr)
 
 
 def _sample_nonlocal(
@@ -329,7 +335,7 @@ def _sample_nonlocal(
     A = np.empty((n, d))
     step = max(1, BLOCK_DOUBLES // (K * r))
     for lo in range(0, n, step):
-        W = _mixing_weights(X, ks[lo : lo + step], delta_w)
+        W = _mixing_weights(X[ks[lo : lo + step]], X, delta_w)
 
         def mixed(idx):
             xi = rng.standard_normal((idx.size, K, r))

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +375,29 @@ class TestBlasPin:
         assert _blas.threads() == before
         assert seen == [None if before is None else 1]
 
+    def test_overlapping_pins_restore_once(self, monkeypatch):
+        # two runs on two threads: the first in saves the count and pins it,
+        # and the first out leaves the pin to the last
+        calls = []
+        monkeypatch.setattr(_blas, "_openblas", lambda: (lambda: 4, calls.append))
+        both_in, first_out = threading.Barrier(2, timeout=10), threading.Event()
+
+        def first():
+            with _blas.one_thread():
+                both_in.wait()
+            first_out.set()
+
+        def last():
+            with _blas.one_thread():
+                both_in.wait()
+                assert first_out.wait(10)
+                return list(calls)
+
+        with ThreadPoolExecutor(2) as pool:
+            jobs = [pool.submit(first), pool.submit(last)]
+            assert jobs[0].result() is None and jobs[1].result() == [1]
+        assert calls == [1, 4]
+
     @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
     def test_numpy_wheel_openblas_found(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -508,6 +533,15 @@ class TestMain:
         assert main(["run", str(small_config(tmp_path, include_poly=True))]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown config fields" in err and "include_poly" in err
+
+    def test_psi_table_resolution_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the table is built before any cell starts, so no cell can record it
+        monkeypatch.setattr("gradfeat.activation.END_DECAY_TOL", -1.0)
+        monkeypatch.setattr("gradfeat.activation.MAX_TABLE_POINTS", 2**12)
+        assert main(["run", str(small_config(tmp_path, samplers=["integral-density"]))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: psi table") and "does not decay" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,10 +2,11 @@ import dataclasses
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp
@@ -319,13 +320,13 @@ class TestNonlocalProperties:
         ref = np.exp(-dist / (2.0 * delta_w))
         ref[ref < 1e-6] = 0.0
         rows = rng.permutation(50)[:20]
-        w = samplers._mixing_weights(X, rows, delta_w)
+        w = samplers._mixing_weights(X[rows], X, delta_w)
         np.testing.assert_allclose(w, ref[rows], rtol=1e-13, atol=0.0)
         assert 0 < np.sum(ref[rows] == 0.0) < ref[rows].size
         # the coordinate layout does not change the bits
-        assert np.array_equal(samplers._mixing_weights(np.asfortranarray(X), rows, delta_w), w)
-        assert np.array_equal(samplers._mixing_weights(np.asfortranarray(X), slice(5, 30), delta_w),
-                              samplers._mixing_weights(X, slice(5, 30), delta_w))
+        assert np.array_equal(samplers._mixing_weights(X[rows], np.asfortranarray(X), delta_w), w)
+        assert np.array_equal(samplers._mixing_weights(X[5:30], np.asfortranarray(X), delta_w),
+                              samplers._mixing_weights(X[5:30], X, delta_w))
         # the source-point weights, in several row blocks, for both factor shapes
         monkeypatch.setattr(samplers, "BLOCK_DOUBLES", 7 * 50)
         for hessian in (False, True):
@@ -334,6 +335,51 @@ class TestNonlocalProperties:
             np.testing.assert_allclose(
                 sqrt_tr, np.sqrt((ref * ref) @ np.sum(F**2, axis=(1, 2))), rtol=1e-13, atol=0.0
             )
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.integers(1, 200),
+        d=st.integers(1, 4),
+        distinct=st.floats(0.1, 1.0),
+        log_delta_w=st.floats(-3.0, 0.0),
+        hessian=st.booleans(),
+        blocks=st.sampled_from(["rows", "mixed", "one"]),
+    )
+    @example(seed=1, K=200, d=2, distinct=0.5, log_delta_w=-3.0, hessian=True, blocks="mixed")
+    @example(seed=2, K=1, d=1, distinct=1.0, log_delta_w=-1.0, hessian=False, blocks="rows")
+    def test_half_pass_matches_dense_pass(self, seed, K, d, distinct, log_delta_w, hessian,
+                                          blocks):
+        # the upper-triangle blocks against the whole K x K weight matrix, with
+        # duplicated points and truncated weights, in one-row blocks, in blocks
+        # of growing height and in a single block
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, (max(1, round(distinct * K)), d)) / np.sqrt(d)
+        X = points[rng.integers(0, len(points), K)]
+        M = rng.standard_normal((K, d, d if hessian else 1))
+        F = M + M.transpose(0, 2, 1) if hessian else M
+        delta_w = 10.0**log_delta_w
+        W = samplers._mixing_weights(X, X, delta_w)
+        ref = np.sqrt((W * W) @ np.sum(F**2, axis=(1, 2)))
+        block_doubles = {"rows": 1, "mixed": 3 * K + 1, "one": K * K}[blocks]
+        with mock.patch.object(samplers, "BLOCK_DOUBLES", block_doubles):
+            sqrt_tr = samplers.nonlocal_source_weights(DataSet(X=X, y=np.zeros(K)), F, delta_w)
+        np.testing.assert_allclose(sqrt_tr, ref, rtol=1e-14, atol=0.0)
+
+    def test_half_pass_blocks_grow_down_the_diagonal(self, monkeypatch):
+        # rows lo:hi against columns lo:K, each block within BLOCK_DOUBLES
+        shapes = []
+        real = samplers._mixing_weights
+
+        def recorded(Xr, X, delta_w):
+            shapes.append((len(Xr), len(X)))
+            return real(Xr, X, delta_w)
+
+        monkeypatch.setattr(samplers, "_mixing_weights", recorded)
+        monkeypatch.setattr(samplers, "BLOCK_DOUBLES", 100)
+        X = np.random.default_rng(44).uniform(-0.5, 0.5, (30, 2))
+        samplers.nonlocal_source_weights(DataSet(X=X, y=np.zeros(30)), np.ones((30, 2, 1)), 0.1)
+        assert shapes == [(3, 30), (3, 27), (4, 24), (5, 20), (6, 15), (9, 9)]
 
     @pytest.mark.parametrize("hessian", [False, True])
     def test_blocking_does_not_change_draws(self, monkeypatch, hessian):
