@@ -111,7 +111,7 @@ def eval_bump(spec: ActivationSpec, t) -> float | np.ndarray:
     return _maybe_scalar(e / (1.0 + e) ** 2 / spec.delta, scalar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsiTable:
     """Weight kernel ``psi_{m,delta}`` tabulated on a uniform symmetric grid.
 
@@ -119,7 +119,8 @@ class PsiTable:
     carry the exact parity ``(-1)^m`` of the spectral construction (enforced
     by symmetrization, so antipodal identities hold to round-off).
     ``top_moment`` is the measured moment of order ``m + d - 1``, the first
-    one the multiplier does not force to vanish.
+    one the multiplier does not force to vanish.  Tables hash by identity,
+    so a table can key what a dataset keeps for it.
 
     The grid must be ascending, as long as ``values``, at least two points
     long and uniform: every point lies within ``UNIFORM_GRID_TOL`` spacings

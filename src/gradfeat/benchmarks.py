@@ -411,8 +411,6 @@ def generate_dataset(
     X_test_raw = rng.uniform(lo, hi, size=(test_size, bench.dim))
 
     _, transform = standardize(X_train_raw, bench.box)
-    side = 2.0 / np.sqrt(bench.dim)
-    rho_value = 1.0 / side**bench.dim  # uniform density on the standardized cube
 
     def build(X_raw, sigma, size_noise):
         y = bench.f(X_raw)
@@ -423,14 +421,7 @@ def generate_dataset(
         if with_hessians:
             hess = bench.hess if bench.hess is not None else _fd_hessian_from_grad(bench)
             H = transform.push_hessian(hess(X_raw))
-        return DataSet(
-            X=transform(X_raw),
-            y=y,
-            G=G,
-            H=H,
-            R=1.0,
-            rho=np.full(X_raw.shape[0], rho_value),
-        )
+        return DataSet(X=transform(X_raw), y=y, G=G, H=H)
 
     train = build(X_train_raw, noise, X_train_raw.shape[0])
     val = build(X_val_raw, noise, X_val_raw.shape[0])

@@ -103,11 +103,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("d", "K", "replicates", "test_size", "master_seed", "workers"):
+        for name in ("d", "K", "s", "replicates", "test_size", "master_seed", "workers"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.delta is None:
             self.delta = 1.0 / 80.0 if self.d == 1 else 1.0 / 40.0
+        elif isinstance(self.delta, bool):
+            raise ConfigError(f"delta must be a number, got {self.delta!r}")
         try:
             self.activation = ActivationSpec(s=self.s, delta=self.delta)
         except (ValueError, TypeError) as exc:
@@ -482,6 +484,8 @@ def load_config(path, args=None) -> ExperimentConfig:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {type(data).__name__}")
     if args is not None:
         for name in _OVERRIDE_FLAGS:
             value = getattr(args, name.replace(".", "__"), None)

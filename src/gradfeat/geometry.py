@@ -139,8 +139,8 @@ class AffineMap:
 def standardize(X_raw, box) -> tuple[np.ndarray, AffineMap]:
     """Map a coordinate box onto the centered cube of side ``2/sqrt(d)``.
 
-    The cube corners then sit exactly on the unit sphere, so the data radius
-    is ``R = 1`` afterwards.  Returns the transformed points and the
+    The cube corners then sit exactly on the unit sphere, so the data lie in
+    the unit ball afterwards.  Returns the transformed points and the
     invertible map.
     """
     box = np.asarray(box, dtype=float)

@@ -81,16 +81,16 @@ def radial_structure_check(
     activation: ActivationSpec,
     n_samples: int,
     rng: np.random.Generator,
-    R: float = 1.0,
     max_stderr: float | None = None,
 ) -> RadialStructureReport:
     """Check that MC kernel values agree within each invariant-triple group.
 
     ``groups`` is a sequence of groups, each a sequence of point pairs
-    ``(x, x')`` whose triples ``(|x|, |x'|, |x - x'|)`` match.  Every pair is
-    estimated with an independent sub-stream; agreement is required within
-    ``4 * combined stderr``.  Raises :class:`InsufficientSamplesError` if any
-    standard error exceeds ``max_stderr`` (when given).
+    ``(x, x')`` inside the unit ball whose triples ``(|x|, |x'|, |x - x'|)``
+    match.  Every pair is estimated with an independent sub-stream;
+    agreement is required within ``4 * combined stderr``.  Raises
+    :class:`InsufficientSamplesError` if any standard error exceeds
+    ``max_stderr`` (when given).
     """
     results = []
     all_passed = True
@@ -99,8 +99,8 @@ def radial_structure_check(
         for x, xp in group:
             x = np.asarray(x, dtype=float)
             xp = np.asarray(xp, dtype=float)
-            if np.linalg.norm(x) > R or np.linalg.norm(xp) > R:
-                raise ValueError("pair points must lie inside the ball of radius R")
+            if np.linalg.norm(x) > 1.0 or np.linalg.norm(xp) > 1.0:
+                raise ValueError("pair points must lie inside the unit ball")
             triples.append(
                 (np.linalg.norm(x), np.linalg.norm(xp), np.linalg.norm(x - xp))
             )
@@ -109,7 +109,7 @@ def radial_structure_check(
             raise ValueError("pairs within a group must share the invariant triple")
 
         d = len(group[0][0])
-        ds = DataSet.minimal(d, R)
+        ds = DataSet.minimal(d)
         estimates = [
             mc_kernel(x, xp, sampler, ds, activation, n_samples, sub)
             for (x, xp), sub in zip(group, rng.spawn(len(group)))

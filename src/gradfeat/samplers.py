@@ -2,7 +2,7 @@
 
 All strategies draw i.i.d. hyperplanes (a, b) with unit normal ``a``:
 
-* ``uniform``            -- a uniform on the sphere, b uniform on [-R, R]
+* ``uniform``            -- a uniform on the sphere, b uniform on [-1, 1]
 * ``active-subspace``    -- a from the angular central Gaussian of the gradient
                             covariance ``G G^T``, b uniform
 * ``local-gradient``     -- a along a data gradient, hyperplane through the
@@ -114,10 +114,10 @@ class AcceptanceCollapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class DataSet:
-    """Standardized regression data inside the ball of radius ``R``.
+    """Standardized regression data inside the unit ball.
 
-    Gradients ``G`` (K x d), Hessians ``H`` (K x d x d) and density values
-    ``rho`` are optional; samplers raise when a required block is missing.
+    Gradients ``G`` (K x d) and Hessians ``H`` (K x d x d) are optional;
+    samplers raise when a required block is missing.
     Samplers keep what depends only on the data on the dataset (the nonlocal
     source-point weights, the integral-density envelope), so its arrays must
     not be written after construction.
@@ -127,8 +127,6 @@ class DataSet:
     y: np.ndarray
     G: np.ndarray | None = None
     H: np.ndarray | None = None
-    R: float = 1.0
-    rho: np.ndarray | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -139,8 +137,8 @@ class DataSet:
         if y.shape[0] != X.shape[0]:
             raise ValueError("X and y lengths differ")
         radii = np.linalg.norm(X, axis=1)
-        if radii.size and radii.max() > self.R + 1e-9:
-            raise ValueError(f"point at radius {radii.max():.12g} outside ball R={self.R}")
+        if radii.size and radii.max() > 1.0 + 1e-9:
+            raise ValueError(f"point at radius {radii.max():.12g} outside the unit ball")
         if self.G is not None:
             G = np.asarray(self.G, dtype=float)
             if G.shape != X.shape:
@@ -153,11 +151,6 @@ class DataSet:
             if np.max(np.abs(H - np.transpose(H, (0, 2, 1)))) > 1e-10:
                 raise ValueError("Hessians are not symmetric")
             object.__setattr__(self, "H", H)
-        if self.rho is not None:
-            rho = np.asarray(self.rho, dtype=float).ravel()
-            if rho.shape[0] != X.shape[0]:
-                raise ValueError("rho length differs from X")
-            object.__setattr__(self, "rho", rho)
 
     @property
     def n_points(self) -> int:
@@ -171,9 +164,9 @@ class DataSet:
         return replace(self, G=np.asarray(G, dtype=float))
 
     @classmethod
-    def minimal(cls, d: int, R: float = 1.0) -> "DataSet":
+    def minimal(cls, d: int) -> "DataSet":
         """Geometry-only dataset (one point at the origin); for kernel oracles."""
-        return cls(X=np.zeros((1, d)), y=np.zeros(1), R=R)
+        return cls(X=np.zeros((1, d)), y=np.zeros(1))
 
 
 @dataclass(frozen=True)
@@ -213,9 +206,9 @@ class SamplerSpec:
 
 
 def sample_uniform(ds: DataSet, n: int, rng: np.random.Generator) -> NeuronSet:
-    """a uniform on the sphere (normalized Gaussian), b uniform on [-R, R]."""
+    """a uniform on the sphere (normalized Gaussian), b uniform on [-1, 1]."""
     A = unit_rows(lambda idx: rng.standard_normal((idx.size, ds.dim)), n)
-    b = rng.uniform(-ds.R, ds.R, size=n)
+    b = rng.uniform(-1.0, 1.0, size=n)
     return NeuronSet(A, b)
 
 
@@ -232,7 +225,7 @@ def sample_active_subspace(ds: DataSet, n: int, rng: np.random.Generator) -> Neu
         raise AllZeroGradientsError("all gradients are zero")
     factor = GaussianFactor.from_matrix(G.T)
     A = sample_acg(factor, rng, size=n)
-    b = rng.uniform(-ds.R, ds.R, size=n)
+    b = rng.uniform(-1.0, 1.0, size=n)
     return NeuronSet(A, b)
 
 
@@ -390,15 +383,15 @@ def _density_block(ds: DataSet) -> int:
 
 def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
     """Data estimate of the representation density,
-    ``|1/K sum_k (a.g_k) psi(a.x_k + b) / rho(x_k)|``.
+    ``|1/K sum_k (a.g_k) psi(a.x_k + b)|``.
 
-    ``rho`` is the dataset's stored sampling density, or 1 when it has none;
-    a constant ``rho`` only scales the estimate.  Accepts a single ``(a, b)``
-    or batches with ``a`` of shape (n, d) and ``b`` of shape (n,).  Batches
-    are evaluated in row blocks (see the module docstring).
+    The paper also weights each term by the inverse design density; the
+    design is uniform, so that weight is a constant that cancels in the
+    rejection ratio and is left out.  Accepts a single ``(a, b)`` or batches
+    with ``a`` of shape (n, d) and ``b`` of shape (n,).  Batches are
+    evaluated in row blocks (see the module docstring).
     """
     G = _require_gradients(ds)
-    rho = 1.0 if ds.rho is None else ds.rho
     a = np.asarray(a, dtype=float)
     scalar = a.ndim == 1
     A = np.atleast_2d(a)
@@ -413,7 +406,6 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
         vals = eval_psi(psi, Ab @ ds.X.T + B[lo:hi, None])
         terms = Ab @ G.T
         terms *= vals
-        terms /= rho  # in place: dividing by an array makes no block-sized temporary
         out[lo:hi] = np.abs(np.mean(terms, axis=1))
         lo = hi
     return float(out[0]) if scalar else out
@@ -425,13 +417,9 @@ def _pilot_peak(ds: DataSet, psi: PsiTable) -> float:
 
     def pilot_max():
         pilot = sample_uniform(ds, PILOT_SIZE, np.random.default_rng(PILOT_SEED))
-        return psi, float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b)))
+        return float(np.max(eval_integral_density(ds, psi, pilot.a, pilot.b)))
 
-    # ``PsiTable`` does not hash: key on its id and keep it in the value, so
-    # that the id cannot pass to another table while the entry lives
-    table, peak = _memoized(ds, ("integral-density", id(psi)), pilot_max)
-    assert table is psi
-    return peak
+    return _memoized(ds, ("integral-density", psi), pilot_max)
 
 
 def sample_integral_density(

@@ -181,11 +181,3 @@ class TestGenerateDataset:
             rng = np.random.default_rng(8)
             train, _, _ = generate_dataset(bench, 100, rng=rng, test_size=10)
             assert np.max(np.linalg.norm(train.X, axis=1)) <= 1.0 + 1e-9
-            assert train.R == 1.0
-
-    def test_rho_is_uniform_density(self):
-        bench = make_benchmark("planar_wave")
-        rng = np.random.default_rng(9)
-        train, _, _ = generate_dataset(bench, 30, rng=rng, test_size=10)
-        side = np.sqrt(2.0)
-        assert np.allclose(train.rho, 1.0 / side**2)

@@ -145,6 +145,9 @@ class TestConfig:
             {"noise_sigma": -0.1},
             {"noise_sigma": float("nan")},
             {"samplers": []},
+            {"activation": {"s": True}},
+            {"activation": {"s": 1.0}},
+            {"activation": {"delta": True}},
         ],
         ids=[
             "s", "delta", "delta_inf", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
@@ -152,7 +155,8 @@ class TestConfig:
             "alpha_grid_repeated", "d_float", "K_float", "replicates_float",
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
-            "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
+            "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
+            "delta_bool",
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -608,6 +612,9 @@ class TestMain:
             ["--noise_sigma", "-0.1"],
             ["--noise_sigma", "NaN"],
             ["--samplers", "[]"],
+            ["--activation.s", "true"],
+            ["--activation.s", "1.0"],
+            ["--activation.delta", "true"],
         ],
         ids=[
             "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
@@ -615,10 +622,21 @@ class TestMain:
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
+            "s_bool", "s_float", "delta_bool",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, flags):
         assert main(["run", str(small_config(tmp_path)), *flags]) == 1
+
+    @pytest.mark.parametrize("flags", [[], ["--K", "100"]], ids=["plain", "override"])
+    @pytest.mark.parametrize("content", ["[1, 2]", '"x"'], ids=["list", "string"])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, content, flags):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        assert main(["run", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: config {path} must hold a JSON object")
 
     @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES)
     def test_bad_sampler_entry_exit_code(self, tmp_path, capsys, entry, key):

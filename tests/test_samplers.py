@@ -76,14 +76,14 @@ class TestDataSet:
 class TestUniform:
     def test_support(self):
         rng = np.random.default_rng(0)
-        ds = DataSet.minimal(2, R=1.0)
+        ds = DataSet.minimal(2)
         ns = sample_uniform(ds, 500, rng)
         assert np.max(np.abs(np.linalg.norm(ns.a, axis=1) - 1.0)) < 1e-12
         assert np.all(np.abs(ns.b) <= 1.0)
 
     def test_offset_symmetry(self):
         rng = np.random.default_rng(1)
-        ds = DataSet.minimal(3, R=1.0)
+        ds = DataSet.minimal(3)
         ns = sample_uniform(ds, 10**5, rng)
         assert abs(np.mean(ns.b)) <= 4.0 / np.sqrt(3 * 10**5)
 
@@ -452,8 +452,7 @@ def gauss1d_dataset(K=1000):
     X = np.linspace(-1.0, 1.0, K)[:, None]
     f = np.exp(-50.0 * X[:, 0] ** 2)
     G = (-100.0 * X[:, 0] * f)[:, None]
-    rho = np.full(K, 0.5)  # uniform density on [-1, 1]
-    return DataSet(X=X, y=f, G=G, rho=rho)
+    return DataSet(X=X, y=f, G=G)
 
 
 @pytest.fixture(scope="module")
@@ -469,7 +468,8 @@ class TestIntegralDensity:
         assert val == 0.0
 
     def test_matches_continuous_quadrature(self, psi):
-        # independent quadrature of int a f'(x) psi(a x + b) dx on [-1, 1]
+        # independent quadrature of int a f'(x) psi(a x + b) dx on [-1, 1],
+        # times the design density 1/2 that the grid mean carries
         ds = gauss1d_dataset()
         delta = 1.0 / 80.0
         spec = ActivationSpec(1, delta)
@@ -481,7 +481,7 @@ class TestIntegralDensity:
         disc = np.array(
             [eval_integral_density(ds, psi, np.array([1.0]), b) for b in bs]
         )
-        cont = np.array(
+        cont = 0.5 * np.array(
             [abs(quad(integrand, -1.0, 1.0, args=(b,), limit=300)[0]) for b in bs]
         )
         assert np.max(np.abs(disc - cont)) <= 2e-3 * cont.max()
@@ -520,7 +520,6 @@ class TestIntegralDensity:
             vals = np.interp(A @ train.X.T + B[:, None], table.grid, table.values, 0.0, 0.0)
             terms = A @ train.G.T
             terms *= vals
-            terms /= train.rho
             return np.abs(np.mean(terms, axis=1))
 
         monkeypatch.setattr(samplers, "BLOCK_DOUBLES", block_doubles)
@@ -529,6 +528,19 @@ class TestIntegralDensity:
         one = eval_integral_density(train, table, A[7], B[7])
         assert isinstance(one, float)
         assert one == one_product(A[7:8], B[7:8])[0]
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(10, 400), k=st.integers(-20, 20))
+    def test_draw_ignores_a_power_of_two_gradient_scale(self, psi, seed, K, k):
+        # scaling every gradient by 2**k scales the density and its envelope
+        # exactly, so a constant weight on every point cannot move a draw
+        ds = gauss1d_dataset(K)
+        base, base_rate = sample_integral_density(ds, psi, 30, 1.5, np.random.default_rng(seed))
+        scaled, rate = sample_integral_density(
+            ds.with_gradients(2.0**k * ds.G), psi, 30, 1.5, np.random.default_rng(seed)
+        )
+        assert np.array_equal(scaled.a, base.a) and np.array_equal(scaled.b, base.b)
+        assert rate == base_rate
 
 
 def flat_psi_table(T=2.0, value=1.0):
@@ -539,7 +551,7 @@ def flat_psi_table(T=2.0, value=1.0):
 
 class TestSampleIntegralDensity:
     def test_flat_target_acceptance_rate(self):
-        ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)), R=1.0)
+        ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
         safety = 2.0
         neurons, rate = sample_integral_density(
             ds, flat_psi_table(), 2000, safety, np.random.default_rng(23)
@@ -578,7 +590,7 @@ class TestSampleIntegralDensity:
         assert stat.pvalue > 0.01
 
     def test_acceptance_collapse(self):
-        ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.ones((2, 1)), R=1.0)
+        ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.ones((2, 1)))
         with pytest.raises(AcceptanceCollapseError):
             sample_integral_density(
                 ds, flat_psi_table(), 50, 2.0e4, np.random.default_rng(26)
