@@ -52,10 +52,15 @@ blocks give the bits of one n x K evaluation.
 
 The integral-density sampler's rejection envelope is ``safety`` times the
 density maximum over a fixed pilot design: ``PILOT_SIZE`` uniform proposals
-from ``np.random.default_rng(PILOT_SEED)``.  That maximum depends only on the
-data and the psi table, so the first draw on a ``DataSet`` keeps it there per
-table, under the same lock as the source-point weights.  A draw then proposes
-one row block at a time, from its own stream, until the block in which its
+from ``np.random.default_rng(PILOT_SEED)``.  2,500 of them suffice for the
+default ``safety`` of 1.5: over 24 datasets each (K=1000), the maximum over
+1e5 independent proposals was at most 1.37 times the pilot's on planar_wave
+d=2 s=2 and 1.07 times on checkmark d=2 and gauss1d, against up to 1.68 for
+a pilot of 1,000.  On checkmark d=3 it reached 1.94, so a draw there may
+double its envelope.  The pilot maximum depends only on the data and the
+psi table, so the first draw on a ``DataSet`` keeps it there per table,
+under the same lock as the source-point weights.  A draw then proposes one
+row block at a time, from its own stream, until the block in which its
 n-th neuron is accepted: about ``n / rate`` proposals, not a fixed batch.
 """
 
@@ -77,7 +82,7 @@ logger = logging.getLogger(__name__)
 
 WEIGHT_TRUNCATION = 1e-6
 BLOCK_DOUBLES = 2**15  # 256 KB: a block and its distance buffer stay in L2
-PILOT_SIZE = 10**4  # uniform proposals that calibrate the rejection envelope
+PILOT_SIZE = 2500  # uniform proposals that calibrate the envelope; sized in the docstring
 PILOT_SEED = 2410_02132  # seeds that fixed pilot design, the same for every dataset
 # The spec fields each sampler kind reads, in the order its sampler takes
 # them; config parsing, validation and dispatch all read this table.
@@ -444,6 +449,8 @@ def sample_integral_density(
     accepted over a 1e6-proposal window.  Returns the accepted neurons and the
     realized acceptance rate, accepted over proposed.
     """
+    if n < 1:
+        raise ValueError("need at least one neuron")
     if not 1.0 <= safety < math.inf:
         raise ValueError(f"safety factor must be finite and >= 1, got {safety}")
     envelope = safety * _pilot_peak(ds, psi)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +15,8 @@ from scipy.stats import chisquare, ks_2samp
 from gradfeat.activation import ActivationSpec, PsiTable, eval_bump, make_psi_table
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
-from gradfeat import samplers
+from gradfeat import cli, samplers
+from gradfeat.cli import ExperimentConfig, parse_sampler_entry
 from gradfeat.regression import NonsmoothModelError, RidgeModel, eval_model_gradient, poly_width
 from gradfeat.samplers import (
     AcceptanceCollapseError,
@@ -608,6 +610,13 @@ class TestSampleIntegralDensity:
             sample_integral_density(ds, flat_psi_table(), 5, safety, np.random.default_rng(0))
         assert density_rows == []
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_neurons_rejected_before_any_evaluation(self, density_rows, n):
+        ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
+        with pytest.raises(ValueError, match="at least one neuron"):
+            sample_integral_density(ds, flat_psi_table(), n, 1.5, np.random.default_rng(0))
+        assert density_rows == []
+
     def test_proposals_stop_at_the_block_that_completes_the_draw(self, density_rows):
         # flat target: the acceptance rate is 1/safety, so n * safety proposals
         # are expected; a draw evaluates at most one block beyond what it needs
@@ -670,6 +679,36 @@ class TestSharedEnvelope:
         first, rate = draws[0]
         assert all(np.array_equal(ns.a, first.a) and np.array_equal(ns.b, first.b) and r == rate
                    for ns, r in draws)
+
+
+class TestPilotMargin:
+    """The margin that ``PILOT_SIZE`` rests on, on the training sets of the
+    grids that run integral-density: the default envelope covers the density
+    over many independent proposals, and the grid's draws never double it."""
+
+    @pytest.mark.parametrize(
+        "name, d, s, sampling, seed",
+        [
+            ("planar_wave", 2, 2, "uniform-random", 7),  # relu-density
+            ("planar_wave", 2, 2, "uniform-random", 11),
+            ("gauss1d", 1, 1, "grid", 12345),  # configs/gauss1d.json
+        ],
+    )
+    def test_envelope_covers_independent_proposals(self, caplog, name, d, s, sampling, seed):
+        config = ExperimentConfig(
+            benchmark=name, d=d, s=s, sampling=sampling, K=1000, n_grid=[25, 100],
+            samplers=["integral-density"], replicates=1, test_size=10, master_seed=seed,
+        )
+        spec = parse_sampler_entry("integral-density", config)
+        master, psi, datasets = cli._prepare(config, [spec], [0])
+        train = datasets[0][0]
+        proposals = sample_uniform(train, 30_000, np.random.default_rng(seed))
+        sup = eval_integral_density(train, psi, proposals.a, proposals.b).max()
+        assert sup < spec.safety * samplers._pilot_peak(train, psi)
+        with caplog.at_level(logging.WARNING, logger=samplers.__name__):
+            for n in config.n_grid:
+                cli._draw_cell(config, spec.label, spec, datasets, n, 0, psi, master)
+        assert not [r for r in caplog.records if "envelope violated" in r.getMessage()]
 
 
 RESIDUAL_LOCAL = SamplerSpec(
