@@ -83,6 +83,11 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a finite number > 0; a bool is not a number here."""
+    return (_is_int(value) or isinstance(value, (float, np.floating))) and 0.0 < value < np.inf
+
+
 @dataclass
 class ExperimentConfig:
     benchmark: str
@@ -116,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad activation: {exc}") from exc
         if self.delta_w is None:
             self.delta_w = 2.0 * self.delta
+        elif not _is_positive(self.delta_w):
+            raise ConfigError(f"delta_w must be a finite number > 0, got {self.delta_w!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if not self.n_grid or not all(map(_is_int, self.n_grid)) or np.any(np.diff(self.n_grid) <= 0):
@@ -125,13 +132,10 @@ class ExperimentConfig:
         if self.K < 10:
             raise ConfigError(f"K must be >= 10, got {self.K}")
         if self.alpha_grid is not None:
-            try:
-                alphas = np.asarray(self.alpha_grid, dtype=float)
-            except ValueError:
-                alphas = np.array([np.nan])
-            if alphas.ndim != 1 or not alphas.size or not np.all(np.isfinite(alphas) & (alphas > 0)):
+            alphas = self.alpha_grid
+            if not isinstance(alphas, list) or not alphas or not all(map(_is_positive, alphas)):
                 raise ConfigError(
-                    f"alpha_grid must be a nonempty list of finite values > 0, got {self.alpha_grid}"
+                    f"alpha_grid must be a nonempty list of finite numbers > 0, got {alphas!r}"
                 )
             if np.any(np.diff(alphas) >= 0):
                 raise ConfigError(f"alpha_grid must be strictly descending, got {self.alpha_grid}")
@@ -148,8 +152,8 @@ class ExperimentConfig:
             (_is_int(sigma) or isinstance(sigma, (float, np.floating))) and 0.0 <= sigma < np.inf
         ):
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if not self.samplers:
-            raise ConfigError("samplers must name at least one sampler")
+        if not isinstance(self.samplers, list) or not self.samplers:
+            raise ConfigError(f"samplers must be a nonempty list, got {self.samplers!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -178,10 +182,9 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
 
     A field the entry leaves out takes its value from the config: ``delta_w``
     the config's ``delta_w``, ``order_m`` the activation's ``s - 1`` and
-    ``base`` ``"local-gradient"``; ``safety``, ``kappa`` and ``n0`` keep the
-    ``SamplerSpec`` defaults.  A ``base`` is itself an entry.  Any other key,
-    even one set to its default, and an ``order_m`` other than ``s - 1`` are
-    config errors.
+    ``base`` ``"local-gradient"``.  A ``base`` is itself an entry.  Any other
+    key, even one set to its default, an ``order_m`` other than ``s - 1`` and
+    a bool where a number belongs are config errors.
     """
     if isinstance(entry, str):
         entry = {"kind": entry}

@@ -53,8 +53,9 @@ def small_config(tmp_path, **overrides):
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 # Each entry carries a key its kind does not read, an order_m the activation
-# does not have, or a value out of range; the second member is what the error
-# names.
+# does not have, or a value out of range or not a number; the second member is
+# what the error names.  safety, kappa and n0 are no kind's keys: the envelope
+# factor and the residual schedule are module constants.
 BAD_SAMPLER_ENTRIES = [
     ({"kind": "residual", "base": "nonlocal-gradient", "delta_w": 0.01}, "delta_w"),
     ({"kind": "uniform", "safety": 3}, "safety"),
@@ -65,6 +66,12 @@ BAD_SAMPLER_ENTRIES = [
     ({"kind": "residual", "kappa": float("inf")}, "kappa"),
     ({"kind": "residual", "n0": 2.5}, "n0"),
     ({"kind": "residual", "n0": True}, "n0"),
+    ({"kind": "integral-density", "safety": 1.5}, "safety"),  # the fixed values too
+    ({"kind": "residual", "kappa": 2.0}, "kappa"),
+    ({"kind": "residual", "n0": 8}, "n0"),
+    ({"kind": "integral-density", "order_m": True}, "order_m"),  # True == s - 1 at s=2
+    ({"kind": "nonlocal-gradient", "delta_w": True}, "delta_w"),
+    ({"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": True}}, "delta_w"),
 ]
 
 
@@ -148,6 +155,12 @@ class TestConfig:
             {"activation": {"s": True}},
             {"activation": {"s": 1.0}},
             {"activation": {"delta": True}},
+            {"delta_w": True},
+            {"delta_w": "abc"},
+            {"delta_w": 0.0},
+            {"alpha_grid": [True]},
+            {"alpha_grid": [1.0, "0.1"]},
+            {"samplers": "uniform"},
         ],
         ids=[
             "s", "delta", "delta_inf", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
@@ -156,7 +169,8 @@ class TestConfig:
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
             "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
-            "delta_bool",
+            "delta_bool", "delta_w_bool", "delta_w_string", "delta_w_zero", "alpha_grid_bool",
+            "alpha_grid_string", "samplers_string",
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -239,8 +253,8 @@ class TestRunExperiment:
                 tmp_path,
                 samplers=[
                     "uniform",
-                    {"kind": "residual", "n0": 4},
-                    {"kind": "residual", "base": "nonlocal-gradient", "n0": 4},
+                    {"kind": "residual"},
+                    {"kind": "residual", "base": "nonlocal-gradient"},
                 ],
                 activation={"s": 1, "delta": 0.0},
                 delta_w=0.025,  # the nonlocal weight width, 2 * delta by default
@@ -421,10 +435,10 @@ NO_SCIPY_SCRIPT = """
 import sys
 import gradfeat, gradfeat.cli
 from gradfeat.cli import ExperimentConfig, run_experiment
-common = dict(n_grid=[8], replicates=1, test_size=40, master_seed=5)
+common = dict(n_grid=[12], replicates=1, test_size=40, master_seed=5)
 configs = [
     ExperimentConfig(benchmark="gauss1d", d=1, K=120, s=1,
-                     samplers=["uniform", {"kind": "residual", "n0": 4}], **common),
+                     samplers=["uniform", {"kind": "residual"}], **common),
     ExperimentConfig(benchmark="planar_wave", d=2, K=100, s=2,
                      samplers=["nonlocal-hessian", "integral-density"], **common),
 ]
@@ -587,34 +601,44 @@ class TestMain:
         assert err.startswith(f"config error: cannot read results {path}") and names in err
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, names",
         [
-            ["--activation.s", "3"],
-            ["--activation.delta", "-1"],
-            ["--activation.delta", "1e400"],
-            ["--delta_w", "1e400", "--samplers", '["nonlocal-gradient"]'],
-            ["--n_grid", "[0]"],
-            ["--K", "0"],
-            ["--alpha_grid", "[]"],
-            ["--alpha_grid", "[0]"],
-            ["--alpha_grid", "[NaN]"],
-            ["--sampling", "bogus"],
-            ["--test_size", "0"],
-            ["--alpha_grid", "[1e-6,1e-3,1]"],
-            ["--alpha_grid", "[1,1]"],
-            ["--K", "1e3"],
-            ["--replicates", "1.5"],
-            ["--test_size", "2.5"],
-            ["--master_seed", "-1"],
-            ["--n_grid", "[10,10]"],
-            ["--workers", "0"],
-            ["--include_poly", '"false"'],
-            ["--noise_sigma", "-0.1"],
-            ["--noise_sigma", "NaN"],
-            ["--samplers", "[]"],
-            ["--activation.s", "true"],
-            ["--activation.s", "1.0"],
-            ["--activation.delta", "true"],
+            (["--activation.s", "3"], "activation"),
+            (["--activation.delta", "-1"], "activation"),
+            (["--activation.delta", "1e400"], "activation"),
+            (["--delta_w", "1e400", "--samplers", '["nonlocal-gradient"]'], "delta_w"),
+            (["--n_grid", "[0]"], "n_grid"),
+            (["--K", "0"], "K"),
+            (["--alpha_grid", "[]"], "alpha_grid"),
+            (["--alpha_grid", "[0]"], "alpha_grid"),
+            (["--alpha_grid", "[NaN]"], "alpha_grid"),
+            (["--sampling", "bogus"], "sampling"),
+            (["--test_size", "0"], "test_size"),
+            (["--alpha_grid", "[1e-6,1e-3,1]"], "alpha_grid"),
+            (["--alpha_grid", "[1,1]"], "alpha_grid"),
+            (["--K", "1e3"], "K"),
+            (["--replicates", "1.5"], "replicates"),
+            (["--test_size", "2.5"], "test_size"),
+            (["--master_seed", "-1"], "master_seed"),
+            (["--n_grid", "[10,10]"], "n_grid"),
+            (["--workers", "0"], "workers"),
+            (["--include_poly", '"false"'], "include_poly"),
+            (["--noise_sigma", "-0.1"], "noise_sigma"),
+            (["--noise_sigma", "NaN"], "noise_sigma"),
+            (["--samplers", "[]"], "samplers"),
+            (["--activation.s", "true"], "s must be an integer"),
+            (["--activation.s", "1.0"], "s must be an integer"),
+            (["--activation.delta", "true"], "delta must be a number"),
+            (["--delta_w", "true"], "delta_w"),
+            (["--delta_w", "abc"], "delta_w"),
+            (["--alpha_grid", "[true]"], "alpha_grid"),
+            (["--samplers", "uniform"], "samplers"),
+            (["--samplers", '[{"kind": "integral-density", "order_m": true}]',
+              "--activation.s", "2"], "order_m"),
+            (["--samplers", '[{"kind": "nonlocal-gradient", "delta_w": true}]'], "delta_w"),
+            (["--samplers", '[{"kind": "integral-density", "safety": 1.5}]'], "safety"),
+            (["--samplers", '[{"kind": "residual", "kappa": 2.0}]'], "kappa"),
+            (["--samplers", '[{"kind": "residual", "n0": 8}]'], "n0"),
         ],
         ids=[
             "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
@@ -622,11 +646,13 @@ class TestMain:
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
-            "s_bool", "s_float", "delta_bool",
+            "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
+            "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
         ],
     )
-    def test_bad_value_exit_code(self, tmp_path, flags):
+    def test_bad_value_exit_code(self, tmp_path, capsys, flags, names):
         assert main(["run", str(small_config(tmp_path)), *flags]) == 1
+        assert names in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [[], ["--K", "100"]], ids=["plain", "override"])
     @pytest.mark.parametrize("content", ["[1, 2]", '"x"'], ids=["list", "string"])
@@ -651,7 +677,7 @@ class TestMain:
     def test_failed_cells_exit_code(self, tmp_path):
         config_path = small_config(
             tmp_path,
-            samplers=[{"kind": "residual", "n0": 4}],
+            samplers=[{"kind": "residual"}],
             activation={"s": 1, "delta": 0.0},
             n_grid=[12],
             replicates=1,
@@ -706,7 +732,7 @@ class TestExportWeights:
     def test_residual_weights_are_the_runs(self, tmp_path, monkeypatch):
         # gauss1d is noisy, and its train noise is drawn after the test points:
         # the residual stages match the run only if the dataset does in full
-        sampler = {"kind": "residual", "n0": 4}
+        sampler = {"kind": "residual"}
         cfg = load_config(small_config(tmp_path, samplers=[sampler], n_grid=[20]))
         drawn = []
         run_draw = cli.draw
@@ -746,12 +772,12 @@ class TestExportWeights:
     def test_takes_a_json_sampler_entry(self, tmp_path):
         # as a config's sampler list does, e.g. corner_max's residual on nonlocal-gradient
         config_path = small_config(tmp_path)
-        entry = '{"kind": "residual", "base": "nonlocal-gradient", "n0": 4}'
+        entry = '{"kind": "residual", "base": "nonlocal-gradient"}'
         argv = ["export-weights", str(config_path), "--sampler", entry, "--n", "20"]
         assert main(argv) == 0
         text = (tmp_path / "out" / "weights_residual-nonlocal-gradient_N20_seed0.txt").read_text()
         assert len(text.splitlines()) == 20
-        sampler = {"kind": "residual", "base": "nonlocal-gradient", "n0": 4}
+        sampler = {"kind": "residual", "base": "nonlocal-gradient"}
         again = export_weights(load_config(config_path), sampler, 20, seed=0)
         assert again.read_text() == text
         assert main(argv[:3] + ['"uniform"', "--n", "5"]) == 0

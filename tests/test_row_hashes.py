@@ -45,7 +45,7 @@ def test_config_hashes_repeat_one_line_per_seed(tmp_path):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({
         "benchmark": "gauss1d", "d": 1, "K": 1000, "sampling": "grid",
-        "samplers": ["uniform", {"kind": "residual", "n0": 4}], "n_grid": [8, 16],
+        "samplers": ["uniform", {"kind": "residual"}], "n_grid": [8, 16],
         "replicates": 20, "output_dir": str(tmp_path / "out"),
     }))
     first = run_row_hashes("--config", str(config), "--seeds", "3", "5")

@@ -537,9 +537,9 @@ class TestIntegralDensity:
         # scaling every gradient by 2**k scales the density and its envelope
         # exactly, so a constant weight on every point cannot move a draw
         ds = gauss1d_dataset(K)
-        base, base_rate = sample_integral_density(ds, psi, 30, 1.5, np.random.default_rng(seed))
+        base, base_rate = sample_integral_density(ds, psi, 30, np.random.default_rng(seed))
         scaled, rate = sample_integral_density(
-            ds.with_gradients(2.0**k * ds.G), psi, 30, 1.5, np.random.default_rng(seed)
+            ds.with_gradients(2.0**k * ds.G), psi, 30, np.random.default_rng(seed)
         )
         assert np.array_equal(scaled.a, base.a) and np.array_equal(scaled.b, base.b)
         assert rate == base_rate
@@ -554,25 +554,22 @@ def flat_psi_table(T=2.0, value=1.0):
 class TestSampleIntegralDensity:
     def test_flat_target_acceptance_rate(self):
         ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
-        safety = 2.0
-        neurons, rate = sample_integral_density(
-            ds, flat_psi_table(), 2000, safety, np.random.default_rng(23)
-        )
+        neurons, rate = sample_integral_density(ds, flat_psi_table(), 2000, np.random.default_rng(23))
         assert len(neurons) == 2000
         n_prop = 2000 / rate
-        assert abs(rate - 1.0 / safety) <= 4.0 * np.sqrt(0.25 / n_prop)
+        assert abs(rate - 1.0 / samplers.SAFETY) <= 4.0 * np.sqrt(0.25 / n_prop)
 
     def test_support_of_accepted_samples(self):
         ds = gauss1d_dataset(K=300)
         psi = make_psi_table(0, 1, 1.0 / 80.0, radius=1.0)
-        neurons, _ = sample_integral_density(ds, psi, 200, 1.5, np.random.default_rng(24))
+        neurons, _ = sample_integral_density(ds, psi, 200, np.random.default_rng(24))
         assert np.max(np.abs(np.abs(neurons.a) - 1.0)) < 1e-12
         assert np.max(np.abs(neurons.b)) <= 1.0
 
     def test_histogram_matches_density(self):
         ds = gauss1d_dataset(K=500)
         psi = make_psi_table(0, 1, 1.0 / 80.0, radius=1.0)
-        neurons, _ = sample_integral_density(ds, psi, 4000, 1.5, np.random.default_rng(25))
+        neurons, _ = sample_integral_density(ds, psi, 4000, np.random.default_rng(25))
         # pool the sign of a into the offset: law of s*b with s = sign(a)
         t = neurons.a[:, 0] * neurons.b
         edges = np.linspace(-1.0, 1.0, 21)
@@ -591,45 +588,36 @@ class TestSampleIntegralDensity:
         stat = chisquare(counts[keep], expected)
         assert stat.pvalue > 0.01
 
-    def test_acceptance_collapse(self):
+    def test_acceptance_collapse(self, monkeypatch):
+        # an envelope 2e4 times a flat target accepts one proposal in 2e4
+        monkeypatch.setattr(samplers, "SAFETY", 2.0e4)
         ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.ones((2, 1)))
         with pytest.raises(AcceptanceCollapseError):
-            sample_integral_density(
-                ds, flat_psi_table(), 50, 2.0e4, np.random.default_rng(26)
-            )
+            sample_integral_density(ds, flat_psi_table(), 50, np.random.default_rng(26))
 
     def test_identically_zero_density(self):
         ds = DataSet(X=np.zeros((2, 1)), y=np.zeros(2), G=np.zeros((2, 1)))
         with pytest.raises(AllZeroGradientsError):
-            sample_integral_density(ds, flat_psi_table(), 5, 1.5, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("safety", [float("nan"), float("inf"), 0.5])
-    def test_bad_safety_rejected_before_any_evaluation(self, density_rows, safety):
-        ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
-        with pytest.raises(ValueError, match="safety"):
-            sample_integral_density(ds, flat_psi_table(), 5, safety, np.random.default_rng(0))
-        assert density_rows == []
+            sample_integral_density(ds, flat_psi_table(), 5, np.random.default_rng(0))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_neurons_rejected_before_any_evaluation(self, density_rows, n):
         ds = DataSet(X=np.zeros((4, 1)), y=np.zeros(4), G=np.ones((4, 1)))
         with pytest.raises(ValueError, match="at least one neuron"):
-            sample_integral_density(ds, flat_psi_table(), n, 1.5, np.random.default_rng(0))
+            sample_integral_density(ds, flat_psi_table(), n, np.random.default_rng(0))
         assert density_rows == []
 
     def test_proposals_stop_at_the_block_that_completes_the_draw(self, density_rows):
-        # flat target: the acceptance rate is 1/safety, so n * safety proposals
+        # flat target: the acceptance rate is 1/SAFETY, so n * SAFETY proposals
         # are expected; a draw evaluates at most one block beyond what it needs
-        K, n, safety = 256, 2000, 2.0
+        K, n = 256, 2000
         ds = DataSet(X=np.zeros((K, 1)), y=np.zeros(K), G=np.ones((K, 1)))
-        neurons, rate = sample_integral_density(
-            ds, flat_psi_table(), n, safety, np.random.default_rng(27)
-        )
+        neurons, rate = sample_integral_density(ds, flat_psi_table(), n, np.random.default_rng(27))
         step = max(2, samplers.BLOCK_DOUBLES // K)
         assert len(neurons) == n and density_rows[0] == samplers.PILOT_SIZE
         assert set(density_rows[1:]) == {step}
         proposed = sum(density_rows[1:])
-        assert proposed <= 1.2 * n * safety + step
+        assert proposed <= 1.2 * n * samplers.SAFETY + step
         accepted = round(rate * proposed)
         assert n <= accepted < n + step and rate == accepted / proposed
 
@@ -640,21 +628,21 @@ class TestSharedEnvelope:
     def test_draws_on_one_dataset_evaluate_one_pilot(self, density_rows, psi):
         ds = gauss1d_dataset(K=300)
         for seed in (50, 51):
-            sample_integral_density(ds, psi, 40, 1.5, np.random.default_rng(seed))
+            sample_integral_density(ds, psi, 40, np.random.default_rng(seed))
         assert density_rows.count(samplers.PILOT_SIZE) == 1
         # a copy keeps no memo and computes its own, and another table its own
-        sample_integral_density(dataclasses.replace(ds), psi, 40, 1.5, np.random.default_rng(52))
+        sample_integral_density(dataclasses.replace(ds), psi, 40, np.random.default_rng(52))
         assert density_rows.count(samplers.PILOT_SIZE) == 2
         other = make_psi_table(0, 1, 1.0 / 80.0, radius=1.0)
-        sample_integral_density(ds, other, 40, 1.5, np.random.default_rng(53))
+        sample_integral_density(ds, other, 40, np.random.default_rng(53))
         assert density_rows.count(samplers.PILOT_SIZE) == 3
 
     def test_warm_memo_draw_equals_fresh_draw(self, psi):
         ds = gauss1d_dataset(K=300)
-        sample_integral_density(ds, psi, 30, 1.5, np.random.default_rng(54))
-        warm, warm_rate = sample_integral_density(ds, psi, 60, 1.5, np.random.default_rng(55))
+        sample_integral_density(ds, psi, 30, np.random.default_rng(54))
+        warm, warm_rate = sample_integral_density(ds, psi, 60, np.random.default_rng(55))
         fresh, fresh_rate = sample_integral_density(
-            gauss1d_dataset(K=300), psi, 60, 1.5, np.random.default_rng(55)
+            gauss1d_dataset(K=300), psi, 60, np.random.default_rng(55)
         )
         assert np.array_equal(warm.a, fresh.a) and np.array_equal(warm.b, fresh.b)
         assert warm_rate == fresh_rate
@@ -666,7 +654,7 @@ class TestSharedEnvelope:
 
         def task(_):
             start.wait(timeout=60)
-            return sample_integral_density(ds, psi, 20, 1.5, np.random.default_rng(56))
+            return sample_integral_density(ds, psi, 20, np.random.default_rng(56))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -683,7 +671,7 @@ class TestSharedEnvelope:
 
 class TestPilotMargin:
     """The margin that ``PILOT_SIZE`` rests on, on the training sets of the
-    grids that run integral-density: the default envelope covers the density
+    grids that run integral-density: the envelope covers the density
     over many independent proposals, and the grid's draws never double it."""
 
     @pytest.mark.parametrize(
@@ -704,28 +692,32 @@ class TestPilotMargin:
         train = datasets[0][0]
         proposals = sample_uniform(train, 30_000, np.random.default_rng(seed))
         sup = eval_integral_density(train, psi, proposals.a, proposals.b).max()
-        assert sup < spec.safety * samplers._pilot_peak(train, psi)
+        assert sup < samplers.SAFETY * samplers._pilot_peak(train, psi)
         with caplog.at_level(logging.WARNING, logger=samplers.__name__):
             for n in config.n_grid:
                 cli._draw_cell(config, spec.label, spec, datasets, n, 0, psi, master)
         assert not [r for r in caplog.records if "envelope violated" in r.getMessage()]
 
 
-RESIDUAL_LOCAL = SamplerSpec(
-    kind="residual", base=SamplerSpec(kind="local-gradient"), kappa=2.0, n0=8
-)
+RESIDUAL_LOCAL = SamplerSpec(kind="residual", base=SamplerSpec(kind="local-gradient"))
 
 
 class TestResidual:
     def test_schedule_arithmetic(self):
-        assert residual_schedule(2.0, 8, 50) == [8, 16, 32, 50]
-        assert residual_schedule(2.0, 8, 8) == [8]
-        sched = residual_schedule(1.3, 5, 100)
-        assert sched[0] == 5 and sched[-1] == 100
+        assert residual_schedule(50) == [8, 16, 32, 50]
+        assert residual_schedule(8) == [8]
+        assert residual_schedule(5) == [5]
+
+    @PROPERTY_SETTINGS
+    @given(n_target=st.integers(1, 10**6))
+    def test_schedule_doubles_from_n0_to_target(self, n_target):
+        sched = residual_schedule(n_target)
+        assert sched[0] == min(samplers.RESIDUAL_N0, n_target) and sched[-1] == n_target
+        assert all(b == min(2 * a, n_target) for a, b in zip(sched, sched[1:]))
         assert all(b > a for a, b in zip(sched, sched[1:]))
 
     def test_final_stage_dominates_cubic_cost(self):
-        sched = residual_schedule(2.0, 8, 400)
+        sched = residual_schedule(400)
         ops = [n**3 for n in sched]
         assert ops[-1] >= sum(ops[:-1])
 
@@ -790,8 +782,10 @@ class TestSamplerSpec:
             SamplerSpec(kind="nonlocal-gradient", delta_w=0.0)
         with pytest.raises(ValueError):
             SamplerSpec(kind="residual", base=SamplerSpec(kind="uniform"))
-        with pytest.raises(ValueError):
-            SamplerSpec(kind="residual", base=SamplerSpec(kind="local-gradient"), kappa=1.0)
+        with pytest.raises(ValueError, match="delta_w"):
+            SamplerSpec(kind="nonlocal-gradient", delta_w=True)
+        with pytest.raises(ValueError, match="order_m"):
+            SamplerSpec(kind="integral-density", order_m=True)
 
     def test_labels(self):
         assert SamplerSpec(kind="uniform").label == "uniform"
