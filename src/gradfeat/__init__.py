@@ -10,14 +10,7 @@ from .activation import (
     make_psi_table,
 )
 from .benchmarks import Benchmark, generate_dataset, make_benchmark
-from .geometry import (
-    AffineMap,
-    GaussianFactor,
-    NeuronSet,
-    RngStream,
-    sample_acg,
-    standardize,
-)
+from .geometry import NeuronSet, RngStream, sample_acg
 from .kernels import KernelEstimate, finite_rank_kernel, mc_kernel, radial_structure_check
 from .regression import (
     FitReport,

@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import standardize
 from .samplers import DataSet
 
 
@@ -48,6 +47,16 @@ class Benchmark:
     hess: Callable[[np.ndarray], np.ndarray] | None = None
     noise_sigma: float = 0.0
     smooth_mask: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        box = np.asarray(self.box, dtype=float)
+        ok = box.shape == (self.dim, 2) and np.all(np.isfinite(box))
+        if not ok or np.any(box[:, 1] <= box[:, 0]):
+            raise ValueError(
+                f"{self.name}: box must be {self.dim} finite rows (low, high) with high > low, "
+                f"got {self.box!r}"
+            )
+        object.__setattr__(self, "box", box)
 
 
 def huber(t):
@@ -385,13 +394,16 @@ def generate_dataset(
 ) -> tuple[DataSet, DataSet, DataSet]:
     """Draw raw points, standardize to the cube of side 2/sqrt(d), and evaluate.
 
-    Returns (train, val, test).  Gaussian noise is added to train/val targets
-    only; gradients are stored noise-free and mapped through the transpose
-    inverse of the standardization (exact chain rule).  The validation set has
-    the same law as training (for grid sampling, the same abscissas with fresh
-    noise); the test set is always an independent uniform draw with clean
-    targets, of size ``test_size`` (default K).  Grid sampling in d >= 2 needs
-    ``K = m**d`` exactly and raises :class:`GridSizeError` otherwise.
+    The standardization ``z = (x - center) * scale`` maps the box onto the
+    centered cube whose corners sit on the unit sphere, so every point lies in
+    the unit ball.  Returns (train, val, test).  Gaussian noise is added to
+    train/val targets only; gradients and Hessians are stored noise-free and
+    divided by ``scale`` and ``outer(scale, scale)`` (exact chain rule).  The
+    validation set has the same law as training (for grid sampling, the same
+    abscissas with fresh noise); the test set is always an independent uniform
+    draw with clean targets, of size ``test_size`` (default K).  Grid sampling
+    in d >= 2 needs ``K = m**d`` exactly and raises :class:`GridSizeError`
+    otherwise.
     """
     if K < 10:
         raise ValueError("need K >= 10")
@@ -410,18 +422,19 @@ def generate_dataset(
         X_val_raw = rng.uniform(lo, hi, size=(K, bench.dim))
     X_test_raw = rng.uniform(lo, hi, size=(test_size, bench.dim))
 
-    _, transform = standardize(X_train_raw, bench.box)
+    scale = (2.0 / np.sqrt(bench.dim)) / (hi - lo)
+    center = 0.5 * (lo + hi)
 
     def build(X_raw, sigma, size_noise):
         y = bench.f(X_raw)
         if sigma > 0.0:
             y = y + sigma * rng.standard_normal(size_noise)
-        G = transform.push_gradient(bench.grad(X_raw))
+        G = bench.grad(X_raw) / scale
         H = None
         if with_hessians:
             hess = bench.hess if bench.hess is not None else _fd_hessian_from_grad(bench)
-            H = transform.push_hessian(hess(X_raw))
-        return DataSet(X=transform(X_raw), y=y, G=G, H=H)
+            H = hess(X_raw) / np.outer(scale, scale)
+        return DataSet(X=(X_raw - center) * scale, y=y, G=G, H=H)
 
     train = build(X_train_raw, noise, X_train_raw.shape[0])
     val = build(X_val_raw, noise, X_val_raw.shape[0])

@@ -108,6 +108,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.benchmark, str):
+            raise ConfigError(f"benchmark must be a string, got {self.benchmark!r}")
+        if not isinstance(self.output_dir, (str, Path)):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         for name in ("d", "K", "s", "replicates", "test_size", "master_seed", "workers"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -125,10 +129,11 @@ class ExperimentConfig:
             raise ConfigError(f"delta_w must be a finite number > 0, got {self.delta_w!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not self.n_grid or not all(map(_is_int, self.n_grid)) or np.any(np.diff(self.n_grid) <= 0):
-            raise ConfigError(f"n_grid must be strictly ascending integers, got {self.n_grid}")
-        if self.n_grid[0] < 1:
-            raise ConfigError(f"n_grid values must be >= 1, got {self.n_grid}")
+        grid = self.n_grid
+        if not isinstance(grid, list) or not all(map(_is_int, grid)) or np.any(np.diff(grid) <= 0):
+            raise ConfigError(f"n_grid must be a list of strictly ascending integers, got {grid!r}")
+        if not grid or grid[0] < 1:
+            raise ConfigError(f"n_grid must be a nonempty list of values >= 1, got {grid!r}")
         if self.K < 10:
             raise ConfigError(f"K must be >= 10, got {self.K}")
         if self.alpha_grid is not None:
@@ -397,11 +402,11 @@ def write_summary_csv(summary: list, path) -> None:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
-def write_convergence_svg(summary: list, path) -> None:
-    """Log-log median test error vs N, one polyline per sampler."""
+def write_convergence_svg(summary: list, path) -> bool:
+    """Log-log median test error vs N, one polyline per sampler; False if none is > 0."""
     points = [(r["sampler"], r["N"], r["median_test_rmse"]) for r in summary if r["median_test_rmse"]]
     if not points:
-        return
+        return False
     samplers = sorted({p[0] for p in points})
     xs = np.log10([p[1] for p in points])
     ys = np.log10([p[2] for p in points])
@@ -439,6 +444,7 @@ def write_convergence_svg(summary: list, path) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))
+    return True
 
 
 def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path:
@@ -498,6 +504,8 @@ def load_config(path, args=None) -> ExperimentConfig:
             *parents, leaf = name.split(".")
             for p in parents:
                 target = target.setdefault(p, {})
+                if not isinstance(target, dict):
+                    raise ConfigError(f"{p} must be a JSON object, got {target!r}")
             target[leaf] = _coerce(value)
     return ExperimentConfig.from_dict(data)
 
@@ -551,8 +559,10 @@ def main(argv=None) -> int:
             print(f"wrote {out} ({len(summary)} rows)")
             if args.svg:
                 svg = out.with_suffix(".svg")
-                write_convergence_svg(summary, svg)
-                print(f"wrote {svg}")
+                if write_convergence_svg(summary, svg):
+                    print(f"wrote {svg}")
+                else:
+                    print(f"no chart written to {svg}: no group has an ok median test_rmse > 0")
             return 0
         if args.command == "export-weights":
             config = load_config(args.config, args)

@@ -76,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .activation import PsiTable, eval_psi
-from .geometry import GaussianFactor, NeuronSet, sample_acg, unit_rows
+from .geometry import NeuronSet, sample_acg, unit_rows
 from .regression import RidgeModel, eval_model_gradient
 
 logger = logging.getLogger(__name__)
@@ -230,8 +230,7 @@ def sample_active_subspace(ds: DataSet, n: int, rng: np.random.Generator) -> Neu
     G = _require_gradients(ds)
     if not np.any(G):
         raise AllZeroGradientsError("all gradients are zero")
-    factor = GaussianFactor.from_matrix(G.T)
-    A = sample_acg(factor, rng, size=n)
+    A = sample_acg(G.T, rng, n)
     b = rng.uniform(-1.0, 1.0, size=n)
     return NeuronSet(A, b)
 

@@ -21,7 +21,7 @@ from gradfeat.cli import (
     summarize,
     write_results_csv,
 )
-from gradfeat.geometry import GaussianFactor, sample_acg
+from gradfeat.geometry import sample_acg
 from gradfeat.kernels import mc_kernel, radial_structure_check
 from gradfeat.regression import (
     RidgeModel,
@@ -293,7 +293,7 @@ def test_criterion_09_sampler_statistics():
         assert chisquare(counts, expected).pvalue > 0.01
 
         # identity-factor ACG is uniform on S^2 (z-coordinate is U(-1,1))
-        a = sample_acg(GaussianFactor(np.eye(3)), np.random.default_rng(903), size=10**5)
+        a = sample_acg(np.eye(3), np.random.default_rng(903), 10**5)
         assert kstest(a[:, 2], "uniform", args=(-1.0, 2.0)).pvalue > 0.01
         azimuth = np.arctan2(a[:, 1], a[:, 0])
         assert kstest(azimuth, "uniform", args=(-np.pi, 2 * np.pi)).pvalue > 0.01

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradfeat.benchmarks import (
+    Benchmark,
     GridSizeError,
     UnknownBenchmarkError,
     generate_dataset,
@@ -10,6 +13,25 @@ from gradfeat.benchmarks import (
     make_benchmark,
     supported_benchmarks,
 )
+
+EPS = np.finfo(float).eps
+
+
+def raw_points(bench, Z):
+    """The raw coordinates of standardized points: the inverse of
+    ``z = (x - center) * scale`` with ``scale = (2 / sqrt(d)) / width``."""
+    lo, hi = bench.box[:, 0], bench.box[:, 1]
+    return Z * (hi - lo) * (np.sqrt(bench.dim) / 2.0) + 0.5 * (lo + hi)
+
+
+def fd_jacobian(grad, X, h):
+    """Central differences of ``grad`` at the rows of ``X``: ``J[:, i, j] = d grad_i / d x_j``."""
+    J = np.empty(X.shape + (X.shape[1],))
+    for j in range(X.shape[1]):
+        step = np.zeros(X.shape[1])
+        step[j] = h[j]
+        J[:, :, j] = (grad(X + step) - grad(X - step)) / (2.0 * h[j])
+    return J
 
 
 class TestHuber:
@@ -154,15 +176,12 @@ class TestGenerateDataset:
         bench = make_benchmark("corner_peak", 3)
         rng = np.random.default_rng(6)
         train, _, _ = generate_dataset(bench, 50, noise_sigma=0.0, rng=rng, test_size=10)
-        from gradfeat.geometry import standardize
-
-        _, tf = standardize(np.zeros((1, 3)), bench.box)
         h = 1e-6
         for j in range(3):
             Zp, Zm = train.X.copy(), train.X.copy()
             Zp[:, j] += h
             Zm[:, j] -= h
-            fd = (bench.f(tf.inverse(Zp)) - bench.f(tf.inverse(Zm))) / (2.0 * h)
+            fd = (bench.f(raw_points(bench, Zp)) - bench.f(raw_points(bench, Zm))) / (2.0 * h)
             scale = np.maximum(np.abs(train.G[:, j]), np.median(np.abs(train.G)))
             assert np.max(np.abs(fd - train.G[:, j]) / scale) < 1e-5
 
@@ -181,3 +200,87 @@ class TestGenerateDataset:
             rng = np.random.default_rng(8)
             train, _, _ = generate_dataset(bench, 100, rng=rng, test_size=10)
             assert np.max(np.linalg.norm(train.X, axis=1)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("name, d", [("corner_peak", 3), ("checkmark", 2)])
+    def test_stored_hessians_match_gradient_differences(self, name, d):
+        # corner_peak stores its analytic hess, checkmark the finite-difference
+        # fallback; both are divided by outer(scale, scale) and must match
+        # central differences of the stored (standardized) gradient
+        bench = make_benchmark(name, d)
+        train, _, _ = generate_dataset(
+            bench, 60, noise_sigma=0.0, rng=np.random.default_rng(9), test_size=10,
+            with_hessians=True,
+        )
+        scale = (2.0 / np.sqrt(d)) / (bench.box[:, 1] - bench.box[:, 0])
+        keep = np.ones(60, bool)
+        if bench.smooth_mask is not None:
+            keep = bench.smooth_mask(raw_points(bench, train.X))
+        Z, H = train.X[keep], train.H[keep]
+        assert Z.shape[0] >= 50
+
+        def grad_std(Z):
+            return bench.grad(raw_points(bench, Z)) / scale
+
+        J = fd_jacobian(grad_std, Z, np.full(d, 1e-6))
+        assert np.max(np.abs(J - H)) <= 1e-5 * np.max(np.abs(H))
+
+
+@pytest.mark.parametrize("name, d", [("gauss1d", 1), ("planar_wave", 2), ("corner_peak", 3)])
+def test_analytic_hessians_match_gradient_differences(name, d):
+    bench = make_benchmark(name, d)
+    lo, hi = bench.box[:, 0], bench.box[:, 1]
+    X = np.random.default_rng(10).uniform(lo, hi, (200, d))
+    H = bench.hess(X)
+    J = fd_jacobian(bench.grad, X, 1e-6 * (hi - lo))
+    assert np.max(np.abs(J - H)) <= 1e-6 * np.max(np.abs(H))
+
+
+class TestStandardize:
+    """``generate_dataset`` maps the box onto the centered cube of side 2/sqrt(d)."""
+
+    def test_midpoint_to_origin(self):
+        bench = make_benchmark("corner_peak", 1)  # box [0, 1]
+        train, _, _ = generate_dataset(bench, 11, "grid", rng=np.random.default_rng(0), test_size=1)
+        assert train.X[5, 0] == pytest.approx(0.0, abs=1e-15)
+        assert np.array_equal(train.X[[0, -1], 0], [-1.0, 1.0])
+
+    def test_corner_on_unit_sphere(self):
+        bench = make_benchmark("corner_peak", 4)  # box [0, 1]^4; the 3^4 grid holds its corners
+        train, _, _ = generate_dataset(bench, 81, "grid", rng=np.random.default_rng(0), test_size=1)
+        norms = np.linalg.norm(train.X, axis=1)
+        corners = np.all(np.abs(train.X) == 0.5, axis=1)
+        assert corners.sum() == 16
+        assert np.allclose(norms[corners], 1.0, rtol=0.0, atol=1e-12)
+        assert np.max(norms) <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 6),
+        lo=st.floats(-1e3, 1e3),
+        log_width=st.floats(-3.0, 3.0),
+    )
+    def test_gradient_chain_rule_property(self, seed, d, lo, log_width):
+        # f(x) = w.x is linear, so f(x(z)) is linear in z with the stored
+        # gradient, and differences of targets are exact up to rounding
+        rng = np.random.default_rng(seed)
+        lows = lo + rng.uniform(-1.0, 1.0, d)
+        box = np.stack([lows, lows + 10.0**log_width * rng.uniform(0.5, 2.0, d)], axis=1)
+        w = rng.standard_normal(d)
+        bench = Benchmark("linear", d, box, lambda X: X @ w, lambda X: np.tile(w, (len(X), 1)))
+        train, _, _ = generate_dataset(bench, 10, rng=rng, test_size=10)
+        assert np.max(np.linalg.norm(train.X, axis=1)) <= 1.0 + 1e-12
+        dz = train.X[1:] - train.X[0]
+        dy = train.y[1:] - train.y[0]
+        scale = np.abs(w) @ np.abs(box).sum(axis=1)
+        assert np.all(np.abs(dy - np.sum(train.G[1:] * dz, axis=1)) <= 16 * EPS * scale)
+
+    @pytest.mark.parametrize(
+        "box",
+        [[[0.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [3.0, 2.0]], [[0.0, 1.0], [0.0, np.inf]],
+         [[0.0, np.nan], [0.0, 1.0]], [[0.0, 1.0]], [[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]],
+        ids=["empty", "inverted", "inf", "nan", "one_row", "three_columns"],
+    )
+    def test_bad_box_rejected(self, box):
+        with pytest.raises(ValueError, match="lopsided: box must be 2 finite rows"):
+            Benchmark("lopsided", 2, np.array(box), lambda X: X[:, 0], lambda X: X)

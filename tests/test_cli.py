@@ -161,6 +161,9 @@ class TestConfig:
             {"alpha_grid": [True]},
             {"alpha_grid": [1.0, "0.1"]},
             {"samplers": "uniform"},
+            {"n_grid": 5},
+            {"benchmark": ["gauss1d"]},
+            {"output_dir": 5},
         ],
         ids=[
             "s", "delta", "delta_inf", "n_grid", "K", "alpha_grid_empty", "alpha_grid_zero",
@@ -170,13 +173,18 @@ class TestConfig:
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
             "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
             "delta_bool", "delta_w_bool", "delta_w_string", "delta_w_zero", "alpha_grid_bool",
-            "alpha_grid_string", "samplers_string",
+            "alpha_grid_string", "samplers_string", "n_grid_int", "benchmark_list",
+            "output_dir_int",
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         data = {"benchmark": "gauss1d", "d": 1, "n_grid": [5], **overrides}
-        with pytest.raises(ConfigError):
+        # the error names the field, or for an activation field either name
+        ((key, value),) = overrides.items()
+        names = [key, *value] if key == "activation" else [key]
+        with pytest.raises(ConfigError, match=rf"\b({'|'.join(names)})\b"):
             ExperimentConfig.from_dict(data)
+
 
     def test_every_field_has_an_override_flag(self):
         parser = argparse.ArgumentParser()
@@ -510,12 +518,13 @@ class TestSummarize:
 
 
 class TestMain:
-    def test_run_and_summarize_roundtrip(self, tmp_path):
+    def test_run_and_summarize_roundtrip(self, tmp_path, capsys):
         config_path = small_config(tmp_path)
         assert main(["run", str(config_path)]) == 0
         results = tmp_path / "out" / "results.csv"
         assert results.exists()
         assert main(["summarize", str(results), "--svg"]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {tmp_path / 'out' / 'summary.svg'}\n")
         assert (tmp_path / "out" / "summary.csv").exists()
         assert (tmp_path / "out" / "summary.svg").exists()
         rows = read_results_csv(results)
@@ -639,6 +648,9 @@ class TestMain:
             (["--samplers", '[{"kind": "integral-density", "safety": 1.5}]'], "safety"),
             (["--samplers", '[{"kind": "residual", "kappa": 2.0}]'], "kappa"),
             (["--samplers", '[{"kind": "residual", "n0": 8}]'], "n0"),
+            (["--n_grid", "5"], "n_grid must be a list"),
+            (["--benchmark", '["gauss1d"]'], "benchmark must be a string"),
+            (["--output_dir", "5"], "output_dir must be a string"),
         ],
         ids=[
             "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
@@ -648,11 +660,37 @@ class TestMain:
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
             "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
             "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
+            "n_grid_int", "benchmark_list", "output_dir_int",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, flags, names):
         assert main(["run", str(small_config(tmp_path)), *flags]) == 1
         assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize("activation", [None, [2, 0.01]], ids=["null", "list"])
+    @pytest.mark.parametrize("flag", ["--activation.s", "--activation.delta"])
+    def test_non_object_activation_with_flag(self, tmp_path, capsys, activation, flag):
+        config_path = small_config(tmp_path, activation=activation)
+        assert main(["run", str(config_path), flag, "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: activation must be a JSON object, got {activation!r}")
+
+    @pytest.mark.parametrize("status", [None, "missing-gradients"], ids=["header_only", "failed"])
+    def test_summarize_svg_without_ok_medians(self, tmp_path, capsys, status):
+        # neither a header-only file nor one of failed cells has a median to plot
+        rows = [] if status is None else [dict(
+            dict.fromkeys(CSV_COLUMNS), benchmark="gauss1d", d=1, sampler="uniform", N=8,
+            replicate=0, status=status,
+        )]
+        results = tmp_path / "results.csv"
+        write_results_csv(rows, results)
+        assert main(["summarize", str(results), "--svg"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert not (tmp_path / "summary.svg").exists()
+        assert out[0] == f"wrote {tmp_path / 'summary.csv'} ({len(rows)} rows)"
+        assert out[1].startswith(f"no chart written to {tmp_path / 'summary.svg'}: ")
+        assert len(out) == 2
 
     @pytest.mark.parametrize("flags", [[], ["--K", "100"]], ids=["plain", "override"])
     @pytest.mark.parametrize("content", ["[1, 2]", '"x"'], ids=["list", "string"])

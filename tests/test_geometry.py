@@ -5,16 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from gradfeat.geometry import (
-    EmptyBoxError,
-    GaussianFactor,
-    NeuronSet,
-    RngStream,
-    ZeroCovarianceError,
-    sample_acg,
-    standardize,
-    unit_rows,
-)
+from gradfeat.geometry import NeuronSet, RngStream, ZeroCovarianceError, sample_acg, unit_rows
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 EPS = np.finfo(float).eps
@@ -65,18 +56,18 @@ class TestSampleACG:
     def test_identity_factor_uniform_on_sphere(self):
         # for uniform law on S^2 each coordinate is U(-1, 1)
         rng = np.random.default_rng(0)
-        a = sample_acg(GaussianFactor(np.eye(3)), rng, size=10**5)
+        a = sample_acg(np.eye(3), rng, 10**5)
         assert np.max(np.abs(np.linalg.norm(a, axis=1) - 1.0)) < 1e-12
         assert kstest(a[:, 2], "uniform", args=(-1.0, 2.0)).pvalue > 0.01
 
     def test_antipodal_symmetry(self):
         rng = np.random.default_rng(1)
-        a = sample_acg(GaussianFactor(np.eye(3)), rng, size=10**5)
+        a = sample_acg(np.eye(3), rng, 10**5)
         assert np.linalg.norm(a.mean(axis=0)) <= 4.0 / np.sqrt(10**5)
 
     def test_rank_one_degenerate(self):
         rng = np.random.default_rng(2)
-        a = sample_acg(GaussianFactor(np.array([[1.0], [0.0]])), rng, size=4000)
+        a = sample_acg(np.array([[1.0], [0.0]]), rng, 4000)
         assert np.allclose(np.abs(a[:, 0]), 1.0)
         frac = np.mean(a[:, 0] > 0)
         assert abs(frac - 0.5) < 3.0 * 0.5 / np.sqrt(4000)
@@ -89,108 +80,43 @@ class TestSampleACG:
 
         expect = 2.0 * quad(density, -np.pi / 4.0, np.pi / 4.0)[0]
         rng = np.random.default_rng(3)
-        a = sample_acg(GaussianFactor(np.diag([2.0, 1.0])), rng, size=10**5)
+        a = sample_acg(np.diag([2.0, 1.0]), rng, 10**5)
         emp = np.mean(np.abs(a[:, 0]) > np.abs(a[:, 1]))
         assert abs(emp - expect) < 4.0 * np.sqrt(expect * (1.0 - expect) / 10**5)
 
     def test_range_membership(self):
         rng = np.random.default_rng(4)
         F = rng.standard_normal((5, 2))
-        a = sample_acg(GaussianFactor(F), rng, size=500)
+        a = sample_acg(F, rng, 500)
         Q, _ = np.linalg.qr(F)
         residual = a - (a @ Q) @ Q.T
         assert np.max(np.linalg.norm(residual, axis=1)) < 1e-10
 
     def test_zero_covariance(self):
         with pytest.raises(ZeroCovarianceError):
-            sample_acg(GaussianFactor(np.zeros((3, 2))), np.random.default_rng(0))
+            sample_acg(np.zeros((3, 2)), np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize(
+        "F", [np.ones(3), np.ones((1, 3, 2)), np.array([[1.0, np.nan]]), np.array([[np.inf]])],
+        ids=["1d", "3d", "nan", "inf"],
+    )
+    def test_rejects_bad_factor(self, F):
+        with pytest.raises(ValueError, match="2-d array of finite entries"):
+            sample_acg(F, np.random.default_rng(0), 1)
 
     def test_wide_factor_reduction_preserves_covariance(self):
+        # a wide factor is drawn through its thin-SVD reduction U s, whose
+        # covariance is G G^T; r <= d factors are drawn as given
         rng = np.random.default_rng(5)
         G = rng.standard_normal((3, 50))
-        factor = GaussianFactor.from_matrix(G)
-        assert factor.columns.shape == (3, 3)
-        assert np.allclose(factor.columns @ factor.columns.T, G @ G.T, atol=1e-10)
-
-
-class TestStandardize:
-    def test_midpoint_to_origin(self):
-        X, tf = standardize(np.array([[0.5]]), [[0.0, 1.0]])
-        assert X[0, 0] == pytest.approx(0.0)
-        corners, _ = standardize(np.array([[0.0], [1.0]]), [[0.0, 1.0]])
-        assert np.allclose(corners.ravel(), [-1.0, 1.0])
-
-    def test_corner_on_unit_sphere(self):
-        box = [[0.0, 1.0]] * 4
-        X, _ = standardize(np.array([[1.0, 1.0, 1.0, 1.0]]), box)
-        assert np.linalg.norm(X[0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(6)
-        box = np.array([[-2.0, 5.0], [1.0, 1.5], [0.0, 100.0]])
-        X = rng.uniform(box[:, 0], box[:, 1], size=(40, 3))
-        Z, tf = standardize(X, box)
-        assert np.max(np.abs(tf.inverse(Z) - X)) < 1e-12
-
-    def test_gradient_chain_rule(self):
-        # f(x) = sin(x0) + x1^2 on a box; standardized gradient must match FD
-        box = np.array([[0.0, 2.0], [-1.0, 3.0]])
-        x = np.array([[0.7, 1.2]])
-        _, tf = standardize(x, box)
-        g_raw = np.array([[np.cos(0.7), 2.4]])
-        g_std = tf.push_gradient(g_raw)
-        z = tf(x)
-        h = 1e-6
-        for j in range(2):
-            zp, zm = z.copy(), z.copy()
-            zp[0, j] += h
-            zm[0, j] -= h
-            xp, xm = tf.inverse(zp), tf.inverse(zm)
-            f = lambda p: np.sin(p[0, 0]) + p[0, 1] ** 2
-            fd = (f(xp) - f(xm)) / (2.0 * h)
-            assert fd == pytest.approx(g_std[0, j], rel=1e-6)
-
-    @PROPERTY_SETTINGS
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d=st.integers(1, 6),
-        lo=st.floats(-1e3, 1e3),
-        log_width=st.floats(-3.0, 3.0),
-    )
-    def test_round_trip_property(self, seed, d, lo, log_width):
-        rng = np.random.default_rng(seed)
-        lows = lo + rng.uniform(-1.0, 1.0, d)
-        box = np.stack([lows, lows + 10.0**log_width * rng.uniform(0.5, 2.0, d)], axis=1)
-        X = rng.uniform(box[:, 0], box[:, 1], size=(20, d))
-        Z, tf = standardize(X, box)
-        assert np.max(np.linalg.norm(Z, axis=1)) <= 1.0 + 1e-12
-        scale = np.abs(box).sum(axis=1)
-        assert np.all(np.abs(tf.inverse(Z) - X) <= 4 * EPS * scale)
-
-    @PROPERTY_SETTINGS
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        d=st.integers(1, 6),
-        lo=st.floats(-1e3, 1e3),
-        log_width=st.floats(-3.0, 3.0),
-    )
-    def test_push_gradient_chain_rule(self, seed, d, lo, log_width):
-        # f(x) = w.x + c is affine, so f(x(z)) is affine in z with gradient
-        # push_gradient(w) and differences are exact up to rounding
-        rng = np.random.default_rng(seed)
-        lows = lo + rng.uniform(-1.0, 1.0, d)
-        box = np.stack([lows, lows + 10.0**log_width * rng.uniform(0.5, 2.0, d)], axis=1)
-        w = rng.standard_normal(d)
-        _, tf = standardize(box.T, box)
-        z1, z2 = rng.uniform(-1.0, 1.0, (2, 5, d)) / np.sqrt(d)
-        g = tf.push_gradient(np.tile(w, (5, 1)))
-        df = tf.inverse(z2) @ w - tf.inverse(z1) @ w
-        scale = np.abs(w) @ np.abs(box).sum(axis=1)
-        assert np.all(np.abs(df - np.sum(g * (z2 - z1), axis=1)) <= 16 * EPS * scale)
-
-    def test_empty_box(self):
-        with pytest.raises(EmptyBoxError):
-            standardize(np.zeros((1, 2)), [[0.0, 1.0], [2.0, 2.0]])
+        U, s, _ = np.linalg.svd(G, full_matrices=False)
+        assert np.allclose((U * s) @ (U * s).T, G @ G.T, atol=1e-10)
+        a = sample_acg(G, np.random.default_rng(6), 200)
+        assert np.array_equal(a, sample_acg(U * s, np.random.default_rng(6), 200))
+        tall = G[:, :2]
+        b = sample_acg(tall, np.random.default_rng(7), 200)
+        xi = np.random.default_rng(7).standard_normal((200, 2)) @ tall.T
+        assert np.array_equal(b, xi / np.linalg.norm(xi, axis=1)[:, None])
 
 
 class TestRngStream:
