@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from gradfeat.benchmarks import Benchmark, generate_dataset
 from gradfeat.geometry import NeuronSet, RngStream, ZeroCovarianceError, sample_acg, unit_rows
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -117,6 +118,31 @@ class TestSampleACG:
         b = sample_acg(tall, np.random.default_rng(7), 200)
         xi = np.random.default_rng(7).standard_normal((200, 2)) @ tall.T
         assert np.array_equal(b, xi / np.linalg.norm(xi, axis=1)[:, None])
+
+
+class TestStandardize:
+    """The box standardization ``z = (x - center) * scale`` applied by ``generate_dataset``."""
+
+    def test_gradient_chain_rule(self):
+        # f(x) = sin(x0) + x1^2 on a box; standardized gradient must match FD
+        box = np.array([[0.0, 2.0], [-1.0, 3.0]])
+        bench = Benchmark(
+            "sin_sq", 2, box,
+            lambda X: np.sin(X[:, 0]) + X[:, 1] ** 2,
+            lambda X: np.stack([np.cos(X[:, 0]), 2.0 * X[:, 1]], axis=1),
+        )
+        train, _, _ = generate_dataset(
+            bench, 10, noise_sigma=0.0, rng=np.random.default_rng(0), test_size=10
+        )
+        scale = (2.0 / np.sqrt(2)) / (box[:, 1] - box[:, 0])
+        center = box.mean(axis=1)
+        h = 1e-6
+        for j in range(2):
+            zp, zm = train.X.copy(), train.X.copy()
+            zp[:, j] += h
+            zm[:, j] -= h
+            fd = (bench.f(zp / scale + center) - bench.f(zm / scale + center)) / (2.0 * h)
+            assert fd == pytest.approx(train.G[:, j], rel=1e-6)
 
 
 class TestRngStream:
