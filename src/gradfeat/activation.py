@@ -21,9 +21,6 @@ import numpy as np
 
 END_DECAY_TOL = 1e-8
 MAX_TABLE_POINTS = 2**23  # make_psi_table gives up beyond this grid size
-# Largest distance of a grid point from the uniform lattice, in spacings.
-# Anything below 1/2 keeps eval_psi's one fix-up step exact.
-UNIFORM_GRID_TOL = 1e-6
 
 
 class GridResolutionError(ValueError):
@@ -48,11 +45,7 @@ class ActivationSpec:
             raise ValueError(f"smoothing width must be finite and >= 0, got {self.delta}")
 
 
-def _maybe_scalar(out: np.ndarray, scalar: bool) -> float | np.ndarray:
-    return float(out) if scalar else out
-
-
-def eval_activation(spec: ActivationSpec, t, out=None) -> float | np.ndarray:
+def eval_activation(spec: ActivationSpec, t, out=None) -> np.ndarray:
     """Evaluate ``sigma_s(t)`` (``delta = 0``) or ``sigma_{s,delta}(t)``.
 
     s=1: Heaviside with the right-continuous convention ``sigma_1(0) = 1``, or
@@ -70,7 +63,6 @@ def eval_activation(spec: ActivationSpec, t, out=None) -> float | np.ndarray:
     of a NaN ``t``.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0 and out is None
     if out is None:
         out = np.empty_like(t)  # a 0-d array, which ufuncs can write into
     if spec.delta == 0.0:
@@ -78,24 +70,24 @@ def eval_activation(spec: ActivationSpec, t, out=None) -> float | np.ndarray:
             np.greater_equal(t, 0.0, out=out)
         else:
             np.maximum(t, 0.0, out=out)
-        return _maybe_scalar(out, scalar)
+        return out
     np.divide(t, spec.delta, out=out)
     if spec.s == 1:
         np.negative(out, out=out)
         np.minimum(out, 709.0, out=out)
         np.exp(out, out=out)
         np.add(out, 1.0, out=out)
-        return _maybe_scalar(np.divide(1.0, out, out=out), scalar)
+        return np.divide(1.0, out, out=out)
     tail = np.abs(out, out=np.empty_like(out))
     np.negative(tail, out=tail)
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
     np.maximum(out, 0.0, out=out)
     np.add(out, tail, out=out)
-    return _maybe_scalar(np.multiply(out, spec.delta, out=out), scalar)
+    return np.multiply(out, spec.delta, out=out)
 
 
-def eval_bump(spec: ActivationSpec, t) -> float | np.ndarray:
+def eval_bump(spec: ActivationSpec, t) -> np.ndarray:
     """Mollifier ``eta_delta(t) = sech(t/(2 delta))^2 / (4 delta)``.
 
     Unit mass and vanishing first moment; equals the derivative of the s=1
@@ -104,60 +96,52 @@ def eval_bump(spec: ActivationSpec, t) -> float | np.ndarray:
     if spec.delta <= 0.0:
         raise ValueError("bump kernel requires delta > 0")
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
     # sech(u/2)^2/4 = e^{-|u|} / (1 + e^{-|u|})^2, safe for large |u|
     u = np.abs(t) / spec.delta
     e = np.exp(-u)
-    return _maybe_scalar(e / (1.0 + e) ** 2 / spec.delta, scalar)
+    return e / (1.0 + e) ** 2 / spec.delta
 
 
 @dataclass(frozen=True, eq=False)
 class PsiTable:
     """Weight kernel ``psi_{m,delta}`` tabulated on a uniform symmetric grid.
 
-    ``grid`` spans ``[-T, T]`` with spacing ``h <= delta/16``.  ``values``
+    ``values`` (at least two) sit on the ``grid`` of ``len(values)`` points
+    that spans ``[-half_width, half_width]``: ``-T + (2T/n) i`` for ``i < n =
+    len(values) - 1``, then ``T`` itself, the bits of ``np.linspace(-T, T, n +
+    1)``.  ``build_psi_table`` uses spacing ``h <= delta/16``, and its values
     carry the exact parity ``(-1)^m`` of the spectral construction (enforced
     by symmetrization, so antipodal identities hold to round-off).
     ``top_moment`` is the measured moment of order ``m + d - 1``, the first
     one the multiplier does not force to vanish.  Tables hash by identity,
     so a table can key what a dataset keeps for it.
 
-    The grid must be ascending, as long as ``values``, at least two points
-    long and uniform: every point lies within ``UNIFORM_GRID_TOL`` spacings
-    of the lattice ``grid[0] + i h``.  ``slope`` holds the per-interval
-    slopes ``diff(values) / diff(grid)`` (the formula ``np.interp`` uses),
-    computed once here, followed by ``-0.0`` for the last node, so that
-    ``eval_psi`` at ``t = T`` returns ``values[-1]`` with the sign of a zero.
+    ``slope`` holds the per-interval slopes ``diff(values) / diff(grid)``
+    (the formula ``np.interp`` uses), computed once here, followed by
+    ``-0.0`` for the last node, so that ``eval_psi`` at ``t = T`` returns
+    ``values[-1]`` with the sign of a zero.
     """
 
     m: int
     d: int
     delta: float
-    grid: np.ndarray
+    half_width: float
     values: np.ndarray
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
     slope: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
-            raise ValueError(
-                f"grid and values must be 1-d, of one length >= 2; got {grid.shape}, {values.shape}"
-            )
-        steps = np.diff(grid)
-        if not np.all(steps > 0.0):
-            raise ValueError("psi grid must be strictly ascending")
-        h = (grid[-1] - grid[0]) / (grid.size - 1)
-        lattice = grid[0] + h * np.arange(grid.size)
-        if not np.max(np.abs(grid - lattice)) <= UNIFORM_GRID_TOL * h:
-            raise ValueError(f"psi grid is not uniform to {UNIFORM_GRID_TOL:g} of its spacing")
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError(f"psi values must be 1-d, of length >= 2; got {values.shape}")
+        T = self.half_width
+        if not 0.0 < T < np.inf:
+            raise ValueError(f"psi half-width must be finite and > 0, got {T}")
+        n = values.size - 1
+        grid = np.append(-T + (2.0 * T / n) * np.arange(n), T)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slope", np.append(np.diff(values) / steps, -0.0))
-
-    @property
-    def half_width(self) -> float:
-        return float(self.grid[-1])
+        object.__setattr__(self, "slope", np.append(np.diff(values) / np.diff(grid), -0.0))
 
     @property
     def spacing(self) -> float:
@@ -223,9 +207,8 @@ def build_psi_table(m: int, d: int, delta: float, T: float) -> PsiTable:
             f"> {END_DECAY_TOL:g} at T = {T:g}; increase T"
         )
 
-    grid = np.append(b, T)
     vals = np.append(vals, parity * vals[0])
-    return PsiTable(m=m, d=d, delta=delta, grid=grid, values=vals)
+    return PsiTable(m=m, d=d, delta=delta, half_width=T, values=vals)
 
 
 def make_psi_table(m: int, d: int, delta: float, radius: float) -> PsiTable:
@@ -234,22 +217,22 @@ def make_psi_table(m: int, d: int, delta: float, radius: float) -> PsiTable:
     Starts at ``T = radius + 10*delta`` and doubles ``T`` until the end-decay
     requirement of :func:`build_psi_table` is met.  Even ``d`` needs a much
     wider grid than odd ``d`` because the kernel tails then decay only
-    algebraically, like ``|b|^-(d+m)``.
+    algebraically, like ``|b|^-(d+m)``.  Raises :class:`GridResolutionError`
+    instead of any build whose ``32 T / delta`` exceeds ``MAX_TABLE_POINTS``.
     """
     T = radius + 10.0 * delta
-    while True:
+    while 32.0 * T <= MAX_TABLE_POINTS * delta:
         try:
             return build_psi_table(m, d, delta, T)
         except GridResolutionError:
             T *= 2.0
-            if 32.0 * T / delta > MAX_TABLE_POINTS:
-                raise GridResolutionError(
-                    f"psi table for (m={m}, d={d}, delta={delta}) does not "
-                    f"decay within {MAX_TABLE_POINTS} grid points"
-                )
+    raise GridResolutionError(
+        f"psi table for (m={m}, d={d}, delta={delta}) does not decay within "
+        f"{MAX_TABLE_POINTS} grid points (T = {T:g})"
+    )
 
 
-def eval_psi(table: PsiTable, t) -> float | np.ndarray:
+def eval_psi(table: PsiTable, t) -> np.ndarray:
     """Linear interpolation on the table grid; zero outside ``[-T, T]``.
 
     The interval is looked up by index on the uniform grid: ``floor((t -
@@ -273,4 +256,4 @@ def eval_psi(table: PsiTable, t) -> float | np.ndarray:
     out *= table.slope[j]
     out += table.values[j]
     out[(flat < lo) | (flat > hi)] = 0.0
-    return _maybe_scalar(out.reshape(t.shape), t.ndim == 0)
+    return out.reshape(t.shape)

@@ -369,8 +369,6 @@ def make_benchmark(name: str, d: int | None = None) -> Benchmark:
 
 def _grid_points(box: np.ndarray, K: int) -> np.ndarray:
     d = box.shape[0]
-    if d == 1:
-        return np.linspace(box[0, 0], box[0, 1], K)[:, None]
     m = round(K ** (1.0 / d))
     if m**d != K:
         below = m if m**d < K else m - 1

@@ -188,8 +188,9 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     A field the entry leaves out takes its value from the config: ``delta_w``
     the config's ``delta_w``, ``order_m`` the activation's ``s - 1`` and
     ``base`` ``"local-gradient"``.  A ``base`` is itself an entry.  Any other
-    key, even one set to its default, an ``order_m`` other than ``s - 1`` and
-    a bool where a number belongs are config errors.
+    key, even one set to its default, an ``order_m`` other than ``s - 1``,
+    ``integral-density`` with activation ``delta`` 0 and a bool where a
+    number belongs are config errors.
     """
     if isinstance(entry, str):
         entry = {"kind": entry}
@@ -207,6 +208,8 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     fields.update((k, v) for k, v in entry.items() if k != "kind")
     if "order_m" in fields and fields["order_m"] != config.s - 1:
         raise ConfigError(f"integral-density order_m must be s - 1 = {config.s - 1}")
+    if kind == "integral-density" and config.delta == 0.0:
+        raise ConfigError("integral-density needs activation delta > 0, got 0")
     if "base" in fields:
         fields["base"] = parse_sampler_entry(fields["base"], config)
     try:

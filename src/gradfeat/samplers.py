@@ -387,21 +387,17 @@ def _density_block(ds: DataSet) -> int:
     return max(2, BLOCK_DOUBLES // ds.n_points)
 
 
-def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarray:
+def eval_integral_density(ds: DataSet, psi: PsiTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Data estimate of the representation density,
-    ``|1/K sum_k (a.g_k) psi(a.x_k + b)|``.
+    ``|1/K sum_k (a.g_k) psi(a.x_k + b)|``, at each row ``a`` of ``A`` (n, d)
+    and entry ``b`` of ``B`` (n,).
 
     The paper also weights each term by the inverse design density; the
     design is uniform, so that weight is a constant that cancels in the
-    rejection ratio and is left out.  Accepts a single ``(a, b)`` or batches
-    with ``a`` of shape (n, d) and ``b`` of shape (n,).  Batches are
-    evaluated in row blocks (see the module docstring).
+    rejection ratio and is left out.  The rows are evaluated in blocks (see
+    the module docstring).
     """
     G = _require_gradients(ds)
-    a = np.asarray(a, dtype=float)
-    scalar = a.ndim == 1
-    A = np.atleast_2d(a)
-    B = np.atleast_1d(np.asarray(b, dtype=float))
     n = A.shape[0]
     step = _density_block(ds)
     out = np.empty(n)
@@ -414,7 +410,7 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, a, b) -> float | np.ndarra
         terms *= vals
         out[lo:hi] = np.abs(np.mean(terms, axis=1))
         lo = hi
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _pilot_peak(ds: DataSet, psi: PsiTable) -> float:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from gradfeat.activation import (
+    MAX_TABLE_POINTS,
     ActivationSpec,
     GridResolutionError,
     PsiTable,
@@ -158,6 +159,30 @@ class TestPsiTable:
         with pytest.raises(GridResolutionError):
             build_psi_table(0, 1, 0.2, 2.0)
 
+    def test_cap_checked_before_first_build(self):
+        # 32 T / delta is far past MAX_TABLE_POINTS at the first T
+        with pytest.raises(GridResolutionError, match="does not decay within"):
+            make_psi_table(0, 1, 1e-300, radius=1.0)
+
+    @pytest.mark.parametrize("delta", [0.01, 2e-6])
+    def test_no_build_past_the_cap(self, monkeypatch, delta):
+        # a stub that never decays records each T; at 2e-6 the first table
+        # would already hold 2**24 points
+        calls = []
+
+        def never_decays(m, d, delta, T):
+            calls.append(T)
+            raise GridResolutionError("stub")
+
+        monkeypatch.setattr("gradfeat.activation.build_psi_table", never_decays)
+        with pytest.raises(GridResolutionError, match="does not decay within"):
+            make_psi_table(0, 3, delta, radius=1.0)
+        T0 = 1.0 + 10.0 * delta
+        assert calls == [T0 * 2.0**i for i in range(len(calls))]
+        assert all(32.0 * T / delta <= MAX_TABLE_POINTS for T in calls)
+        assert 32.0 * T0 * 2.0 ** len(calls) / delta > MAX_TABLE_POINTS
+        assert bool(calls) == (delta == 0.01)
+
     def test_grid_spacing_invariant(self):
         table = make_psi_table(0, 3, 0.05, radius=1.0)
         assert table.spacing <= 0.05 / 16.0 + 1e-15
@@ -209,12 +234,12 @@ LOOKUP_TABLE_KEYS = [(m, d) for m in (0, 1, 2) for d in (1, 2, 3)] + ["flat", "c
 @functools.cache
 def lookup_table(key):
     # the tables the samplers build for m in {0, 1, 2}, d in {1, 2, 3}, the
-    # np.linspace table of test_samplers.flat_psi_table, and a varying one on
-    # the same grid
+    # table of test_samplers.flat_psi_table, and a varying one on the same
+    # grid (which is np.linspace's, test_grid_is_linspace)
     if key in ("flat", "cos"):
         grid = np.linspace(-2.0, 2.0, 101)
         values = np.full(101, 1.0) if key == "flat" else np.cos(grid)
-        return PsiTable(m=0, d=1, delta=0.1, grid=grid, values=values)
+        return PsiTable(m=0, d=1, delta=0.1, half_width=2.0, values=values)
     m, d = key
     return make_psi_table(m, d, 1.0 / 80.0 if d == 1 else 1.0 / 40.0, radius=1.0)
 
@@ -255,8 +280,8 @@ class TestEvalPsiProperties:
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
         for x, r in zip(t[0, :5], ref[0, :5]):
             one = eval_psi(table, np.float64(x))
-            assert isinstance(one, float)
-            assert np.array_equal(np.float64(one).view(np.int64), r.view(np.int64))
+            assert one.shape == ()
+            assert one.view(np.int64) == r.view(np.int64)
 
 
 TINY = 2.2250738585072014e-308  # smallest normal double
@@ -292,7 +317,7 @@ class TestSigmoidProperties:
             got = eval_activation(spec, t)
             ones = [eval_activation(spec, np.float64(x)) for x in t.flat]
         assert got.shape == t.shape
-        assert all(isinstance(one, float) for one in ones)
+        assert all(one.shape == () for one in ones)
         for out in (got, np.array(ones).reshape(t.shape)):
             nan = np.isnan(ref)
             assert np.array_equal(np.isnan(out), nan)
@@ -325,36 +350,38 @@ class TestActivationBits:
         assert np.array_equal(got.view(np.int64), ref)
         for x in t.flat:
             one = eval_activation(spec, np.float64(x))
-            assert isinstance(one, float)
+            assert one.shape == ()
             r = _expression_activation(spec, np.float64(x))
-            assert np.float64(one).view(np.int64) == r.view(np.int64)
+            assert one.view(np.int64) == r.view(np.int64)
         # in place, as feature_matrix evaluates its pre-activations
         inplace = t.copy()
         assert eval_activation(spec, inplace, out=inplace) is inplace
         assert np.array_equal(inplace.view(np.int64), ref)
 
 
-def _uniform_grid(n=101):
-    return np.linspace(-2.0, 2.0, n)
-
-
-def _bumped_grid():
-    grid = _uniform_grid()
-    grid[50] += 1e-3 * (grid[1] - grid[0])
-    return grid
+class TestPsiTableGrid:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.floats(1e-300, 1e300), st.integers(2, 10_000))
+    def test_grid_is_linspace(self, T, n):
+        # the derived grid is np.linspace's, bit for bit, so references built
+        # with np.linspace sit on the table's nodes
+        table = PsiTable(m=0, d=1, delta=0.1, half_width=T, values=np.zeros(n))
+        assert table.half_width == T
+        assert np.array_equal(table.grid.view(np.int64), np.linspace(-T, T, n).view(np.int64))
 
 
 @pytest.mark.parametrize(
-    "grid, values",
+    "half_width, values",
     [
-        (_uniform_grid() ** 3 / 4.0, np.ones(101)),
-        (_bumped_grid(), np.ones(101)),
-        (_uniform_grid()[::-1], np.ones(101)),
-        (_uniform_grid(), np.ones(100)),
-        (_uniform_grid(1), np.ones(1)),
+        (2.0, np.ones(1)),
+        (0.0, np.ones(101)),
+        (-1.0, np.ones(101)),
+        (np.inf, np.ones(101)),
+        (np.nan, np.ones(101)),
     ],
-    ids=["non-uniform", "off-lattice-node", "descending", "length-mismatch", "one-point"],
+    ids=["one-point", "half-width-zero", "half-width-negative", "half-width-inf",
+         "half-width-nan"],
 )
-def test_psi_table_rejects_bad_grid(grid, values):
+def test_psi_table_rejects_bad_grid(half_width, values):
     with pytest.raises(ValueError):
-        PsiTable(m=0, d=1, delta=0.1, grid=grid, values=values)
+        PsiTable(m=0, d=1, delta=0.1, half_width=half_width, values=values)

@@ -145,6 +145,18 @@ class TestGenerateDataset:
         pts = _grid_points(np.array([[-1.0, 1.0]]), 5).ravel()
         assert np.allclose(pts, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
+    def test_grid_points_1d_are_linspace(self):
+        # one axis through the d-dimensional meshgrid path keeps its bits
+        from gradfeat.benchmarks import _grid_points
+
+        half = np.sqrt(2.0) / 2.0
+        for lo, hi in [(-1.0, 1.0), (0.05, 0.15), (-half, half)]:
+            for K in (10, 11, 100, 1000, 4097):
+                pts = _grid_points(np.array([[lo, hi]]), K)
+                assert pts.shape == (K, 1)
+                ref = np.linspace(lo, hi, K)
+                assert np.array_equal(pts[:, 0].view(np.int64), ref.view(np.int64))
+
     def test_grid_needs_exact_power(self):
         bench = make_benchmark("planar_wave")
         with pytest.raises(GridSizeError, match=r"\[961, 1024\]"):

@@ -206,6 +206,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_sampler_entry(entry, cfg)
 
+    def test_integral_density_needs_positive_delta(self):
+        # a zero-width kernel has no psi table, as a top-level entry or a base
+        cfg = ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[5], delta=0.0)
+        for entry in ("integral-density", {"kind": "residual", "base": "integral-density"}):
+            with pytest.raises(ConfigError, match=r"\bdelta\b"):
+                parse_sampler_entry(entry, cfg)
+        assert parse_sampler_entry("uniform", cfg).kind == "uniform"
+
     def test_residual_base_takes_its_own_width(self):
         cfg = ExperimentConfig(benchmark="checkmark", d=3, n_grid=[5])
         entry = {"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": 0.01}}
@@ -651,6 +659,9 @@ class TestMain:
             (["--n_grid", "5"], "n_grid must be a list"),
             (["--benchmark", '["gauss1d"]'], "benchmark must be a string"),
             (["--output_dir", "5"], "output_dir must be a string"),
+            (["--activation.delta", "0", "--samplers", '["integral-density"]'], "delta"),
+            (["--activation.delta", "1e-300", "--samplers", '["integral-density"]'],
+             "does not decay within"),
         ],
         ids=[
             "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
@@ -660,7 +671,8 @@ class TestMain:
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
             "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
             "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
-            "n_grid_int", "benchmark_list", "output_dir_int",
+            "n_grid_int", "benchmark_list", "output_dir_int", "integral_density_delta_zero",
+            "psi_table_past_cap",
         ],
     )
     def test_bad_value_exit_code(self, tmp_path, capsys, flags, names):

@@ -466,8 +466,8 @@ class TestIntegralDensity:
 
     def test_zero_gradients_give_zero(self, psi):
         ds = DataSet(X=np.zeros((5, 1)), y=np.zeros(5), G=np.zeros((5, 1)))
-        val = eval_integral_density(ds, psi, np.array([1.0]), 0.3)
-        assert val == 0.0
+        val = eval_integral_density(ds, psi, np.array([[1.0]]), np.array([0.3]))
+        assert np.array_equal(val, [0.0])
 
     def test_matches_continuous_quadrature(self, psi):
         # independent quadrature of int a f'(x) psi(a x + b) dx on [-1, 1],
@@ -481,7 +481,7 @@ class TestIntegralDensity:
 
         bs = np.linspace(-0.9, 0.9, 25)
         disc = np.array(
-            [eval_integral_density(ds, psi, np.array([1.0]), b) for b in bs]
+            [eval_integral_density(ds, psi, np.array([[1.0]]), np.array([b]))[0] for b in bs]
         )
         cont = 0.5 * np.array(
             [abs(quad(integrand, -1.0, 1.0, args=(b,), limit=300)[0]) for b in bs]
@@ -502,8 +502,8 @@ class TestIntegralDensity:
         rng = np.random.default_rng(22)
         for _ in range(20):
             b = rng.uniform(-1.0, 1.0)
-            m_plus = eval_integral_density(ds, psi, np.array([1.0]), b)
-            m_minus = eval_integral_density(ds, psi, np.array([-1.0]), -b)
+            (m_plus,) = eval_integral_density(ds, psi, np.array([[1.0]]), np.array([b]))
+            (m_minus,) = eval_integral_density(ds, psi, np.array([[-1.0]]), np.array([-b]))
             assert m_plus == pytest.approx(m_minus, abs=1e-12)
 
     @pytest.mark.parametrize("block_doubles", [1, 3 * 1000, 32 * 1000])
@@ -527,9 +527,8 @@ class TestIntegralDensity:
         monkeypatch.setattr(samplers, "BLOCK_DOUBLES", block_doubles)
         got = eval_integral_density(train, table, A, B)
         assert np.array_equal(got, one_product(A, B))
-        one = eval_integral_density(train, table, A[7], B[7])
-        assert isinstance(one, float)
-        assert one == one_product(A[7:8], B[7:8])[0]
+        one = eval_integral_density(train, table, A[7:8], B[7:8])
+        assert np.array_equal(one, one_product(A[7:8], B[7:8]))
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(10, 400), k=st.integers(-20, 20))
@@ -547,8 +546,7 @@ class TestIntegralDensity:
 
 def flat_psi_table(T=2.0, value=1.0):
     # constant table => density |a . mean(g)| independent of (a, b) in 1-d
-    grid = np.linspace(-T, T, 101)
-    return PsiTable(m=0, d=1, delta=0.1, grid=grid, values=np.full(101, value))
+    return PsiTable(m=0, d=1, delta=0.1, half_width=T, values=np.full(101, value))
 
 
 class TestSampleIntegralDensity:
