@@ -220,6 +220,8 @@ def make_psi_table(m: int, d: int, delta: float, radius: float) -> PsiTable:
     algebraically, like ``|b|^-(d+m)``.  Raises :class:`GridResolutionError`
     instead of any build whose ``32 T / delta`` exceeds ``MAX_TABLE_POINTS``.
     """
+    if not delta > 0.0:
+        raise ValueError(f"width must be > 0, got {delta}")
     T = radius + 10.0 * delta
     while 32.0 * T <= MAX_TABLE_POINTS * delta:
         try:

@@ -98,7 +98,6 @@ class ExperimentConfig:
     replicates: int = 20
     s: int = 1
     delta: float | None = None  # default 1/80 in 1-d, 1/40 otherwise
-    delta_w: float | None = None  # default 2 * delta
     alpha_grid: list | None = None
     noise_sigma: float | None = None
     sampling: str = "uniform-random"
@@ -123,10 +122,6 @@ class ExperimentConfig:
             self.activation = ActivationSpec(s=self.s, delta=self.delta)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad activation: {exc}") from exc
-        if self.delta_w is None:
-            self.delta_w = 2.0 * self.delta
-        elif not _is_positive(self.delta_w):
-            raise ConfigError(f"delta_w must be a finite number > 0, got {self.delta_w!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         grid = self.n_grid
@@ -185,9 +180,9 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     """Build a SamplerSpec from a config entry: a kind name, or a mapping with
     ``kind`` and any of the fields that kind reads (``KIND_FIELDS``).
 
-    A field the entry leaves out takes its value from the config: ``delta_w``
-    the config's ``delta_w``, ``order_m`` the activation's ``s - 1`` and
-    ``base`` ``"local-gradient"``.  A ``base`` is itself an entry.  Any other
+    A field the entry leaves out takes its default: ``delta_w`` twice the
+    activation's ``delta``, ``order_m`` its ``s - 1`` and ``base``
+    ``"local-gradient"``.  A ``base`` is itself an entry.  Any other
     key, even one set to its default, an ``order_m`` other than ``s - 1``,
     ``integral-density`` with activation ``delta`` 0 and a bool where a
     number belongs are config errors.
@@ -203,7 +198,7 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     extra = sorted(set(entry) - {"kind", *reads})
     if extra:
         raise ConfigError(f"sampler {kind!r} takes only {list(reads)}, got {extra}")
-    defaults = {"delta_w": config.delta_w, "order_m": config.s - 1, "base": "local-gradient"}
+    defaults = {"delta_w": 2.0 * config.delta, "order_m": config.s - 1, "base": "local-gradient"}
     fields = {f: defaults[f] for f in reads if f in defaults}
     fields.update((k, v) for k, v in entry.items() if k != "kind")
     if "order_m" in fields and fields["order_m"] != config.s - 1:

@@ -108,7 +108,7 @@ def test_criterion_03_checkmark():
             cfg = ExperimentConfig(
                 benchmark="checkmark", d=d, K=K,
                 samplers=["uniform", "active-subspace", "nonlocal-gradient", residual],
-                n_grid=n_grid, replicates=reps, test_size=5000, master_seed=103,
+                n_grid=n_grid, replicates=reps, test_size=5000, master_seed=103, workers=2,
             )
             s = summarize(run_experiment(cfg))
             top = n_grid[-1]
@@ -351,7 +351,7 @@ def test_smoke_hd_benchmarks():
             cfg = ExperimentConfig(
                 benchmark=name, d=d, K=5000,
                 samplers=["uniform", "active-subspace", "nonlocal-gradient"],
-                n_grid=[150, 300], replicates=5, test_size=5000, master_seed=106,
+                n_grid=[150, 300], replicates=5, test_size=5000, master_seed=106, workers=2,
             )
             s = summarize(run_experiment(cfg))
             assert med(s, "nonlocal-gradient", 300) < med(s, "uniform", 300), (name, d)

@@ -164,6 +164,13 @@ class TestPsiTable:
         with pytest.raises(GridResolutionError, match="does not decay within"):
             make_psi_table(0, 1, 1e-300, radius=1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_bad_width_named_before_the_cap(self, delta):
+        # a width that is not > 0 is a bad argument, not a table past the cap
+        with pytest.raises(ValueError, match="> 0") as info:
+            make_psi_table(0, 1, delta, radius=1.0)
+        assert not isinstance(info.value, GridResolutionError)
+
     @pytest.mark.parametrize("delta", [0.01, 2e-6])
     def test_no_build_past_the_cap(self, monkeypatch, delta):
         # a stub that never decays records each T; at 2e-6 the first table

@@ -90,7 +90,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[10])
         assert cfg.delta == pytest.approx(1.0 / 80.0)
-        assert cfg.delta_w == pytest.approx(2.0 / 80.0)
         cfg2 = ExperimentConfig(benchmark="planar_wave", d=2, n_grid=[10])
         assert cfg2.delta == pytest.approx(1.0 / 40.0)
 
@@ -155,9 +154,7 @@ class TestConfig:
             {"activation": {"s": True}},
             {"activation": {"s": 1.0}},
             {"activation": {"delta": True}},
-            {"delta_w": True},
-            {"delta_w": "abc"},
-            {"delta_w": 0.0},
+            {"delta_w": 0.05},
             {"alpha_grid": [True]},
             {"alpha_grid": [1.0, "0.1"]},
             {"samplers": "uniform"},
@@ -172,7 +169,7 @@ class TestConfig:
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
             "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
-            "delta_bool", "delta_w_bool", "delta_w_string", "delta_w_zero", "alpha_grid_bool",
+            "delta_bool", "delta_w", "alpha_grid_bool",
             "alpha_grid_string", "samplers_string", "n_grid_int", "benchmark_list",
             "output_dir_int",
         ],
@@ -229,7 +226,7 @@ class TestConfig:
     def test_sampler_entries(self):
         cfg = ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[5])
         spec = parse_sampler_entry("nonlocal-gradient", cfg)
-        assert spec.delta_w == cfg.delta_w
+        assert spec.delta_w == 2 * cfg.delta
         spec = parse_sampler_entry({"kind": "residual", "base": "nonlocal-gradient"}, cfg)
         assert spec.label == "residual-nonlocal-gradient"
         with pytest.raises(ConfigError):
@@ -270,10 +267,10 @@ class TestRunExperiment:
                 samplers=[
                     "uniform",
                     {"kind": "residual"},
-                    {"kind": "residual", "base": "nonlocal-gradient"},
+                    # the default width, 2 * delta, is 0 here, so the base sets its own
+                    {"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": 0.025}},
                 ],
                 activation={"s": 1, "delta": 0.0},
-                delta_w=0.025,  # the nonlocal weight width, 2 * delta by default
                 n_grid=[12],
                 replicates=1,
             )
@@ -623,7 +620,7 @@ class TestMain:
             (["--activation.s", "3"], "activation"),
             (["--activation.delta", "-1"], "activation"),
             (["--activation.delta", "1e400"], "activation"),
-            (["--delta_w", "1e400", "--samplers", '["nonlocal-gradient"]'], "delta_w"),
+            (["--delta_w", "0.05"], "delta_w"),
             (["--n_grid", "[0]"], "n_grid"),
             (["--K", "0"], "K"),
             (["--alpha_grid", "[]"], "alpha_grid"),
@@ -646,8 +643,6 @@ class TestMain:
             (["--activation.s", "true"], "s must be an integer"),
             (["--activation.s", "1.0"], "s must be an integer"),
             (["--activation.delta", "true"], "delta must be a number"),
-            (["--delta_w", "true"], "delta_w"),
-            (["--delta_w", "abc"], "delta_w"),
             (["--alpha_grid", "[true]"], "alpha_grid"),
             (["--samplers", "uniform"], "samplers"),
             (["--samplers", '[{"kind": "integral-density", "order_m": true}]',
@@ -664,12 +659,12 @@ class TestMain:
              "does not decay within"),
         ],
         ids=[
-            "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
+            "s", "delta", "delta_inf", "delta_w", "n_grid", "K", "alpha_grid_empty",
             "alpha_grid_zero", "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
-            "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
+            "s_bool", "s_float", "delta_bool", "alpha_grid_bool",
             "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
             "n_grid_int", "benchmark_list", "output_dir_int", "integral_density_delta_zero",
             "psi_table_past_cap",
