@@ -154,7 +154,9 @@ class TestConfig:
             {"activation": {"s": True}},
             {"activation": {"s": 1.0}},
             {"activation": {"delta": True}},
-            {"delta_w": 0.05},
+            {"delta_w": True},
+            {"delta_w": "abc"},
+            {"delta_w": 0.0},
             {"alpha_grid": [True]},
             {"alpha_grid": [1.0, "0.1"]},
             {"samplers": "uniform"},
@@ -169,7 +171,7 @@ class TestConfig:
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
             "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
-            "delta_bool", "delta_w", "alpha_grid_bool",
+            "delta_bool", "delta_w_bool", "delta_w_string", "delta_w_zero", "alpha_grid_bool",
             "alpha_grid_string", "samplers_string", "n_grid_int", "benchmark_list",
             "output_dir_int",
         ],
@@ -620,7 +622,7 @@ class TestMain:
             (["--activation.s", "3"], "activation"),
             (["--activation.delta", "-1"], "activation"),
             (["--activation.delta", "1e400"], "activation"),
-            (["--delta_w", "0.05"], "delta_w"),
+            (["--delta_w", "1e400", "--samplers", '["nonlocal-gradient"]'], "delta_w"),
             (["--n_grid", "[0]"], "n_grid"),
             (["--K", "0"], "K"),
             (["--alpha_grid", "[]"], "alpha_grid"),
@@ -643,6 +645,8 @@ class TestMain:
             (["--activation.s", "true"], "s must be an integer"),
             (["--activation.s", "1.0"], "s must be an integer"),
             (["--activation.delta", "true"], "delta must be a number"),
+            (["--delta_w", "true"], "delta_w"),
+            (["--delta_w", "abc"], "delta_w"),
             (["--alpha_grid", "[true]"], "alpha_grid"),
             (["--samplers", "uniform"], "samplers"),
             (["--samplers", '[{"kind": "integral-density", "order_m": true}]',
@@ -659,12 +663,12 @@ class TestMain:
              "does not decay within"),
         ],
         ids=[
-            "s", "delta", "delta_inf", "delta_w", "n_grid", "K", "alpha_grid_empty",
+            "s", "delta", "delta_inf", "delta_w_inf", "n_grid", "K", "alpha_grid_empty",
             "alpha_grid_zero", "alpha_grid_nan", "sampling", "test_size", "alpha_grid_ascending",
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
-            "s_bool", "s_float", "delta_bool", "alpha_grid_bool",
+            "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
             "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
             "n_grid_int", "benchmark_list", "output_dir_int", "integral_density_delta_zero",
             "psi_table_past_cap",
