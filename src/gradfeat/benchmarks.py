@@ -25,6 +25,9 @@ import numpy as np
 
 from .samplers import DataSet
 
+_CORNER_PEAK_A = 2.0  # steepness of the corner_peak benchmark
+_FD_CHECK_POINTS = 100  # points per finite-difference check of a gradient
+
 
 class UnknownBenchmarkError(ValueError):
     """Unsupported (name, dimension) combination."""
@@ -187,18 +190,18 @@ def _separable():
     return Benchmark("separable", 2, box, f, grad, None, smooth_mask=mask)
 
 
-def _corner_peak(d: int, a: float = 2.0):
+def _corner_peak(d: int):
     def f(X):
-        return 10.0 * (1.0 + a * np.sum(X, axis=1)) ** (-d - 1)
+        return 10.0 * (1.0 + _CORNER_PEAK_A * np.sum(X, axis=1)) ** (-d - 1)
 
     def grad(X):
-        core = (1.0 + a * np.sum(X, axis=1)) ** (-d - 2)
-        return np.tile((-10.0 * (d + 1) * a * core)[:, None], (1, d))
+        core = (1.0 + _CORNER_PEAK_A * np.sum(X, axis=1)) ** (-d - 2)
+        return np.tile((-10.0 * (d + 1) * _CORNER_PEAK_A * core)[:, None], (1, d))
 
     def hess(X):
-        core = (1.0 + a * np.sum(X, axis=1)) ** (-d - 3)
+        core = (1.0 + _CORNER_PEAK_A * np.sum(X, axis=1)) ** (-d - 3)
         ones = np.ones((d, d))
-        return 10.0 * (d + 1) * (d + 2) * a * a * core[:, None, None] * ones
+        return 10.0 * (d + 1) * (d + 2) * _CORNER_PEAK_A**2 * core[:, None, None] * ones
 
     box = np.tile([[0.0, 1.0]], (d, 1))
     return Benchmark("corner_peak", d, box, f, grad, hess)
@@ -308,15 +311,15 @@ def supported_benchmarks() -> dict:
     return {name: dims for name, (dims, _) in _FACTORIES.items()}
 
 
-def _fd_gradient_check(bench: Benchmark, n_points: int = 100) -> None:
+def _fd_gradient_check(bench: Benchmark) -> None:
     rng = np.random.default_rng(0)
     lo, hi = bench.box[:, 0], bench.box[:, 1]
     width = hi - lo
     margin = 1e-3 * width
-    X = rng.uniform(lo + margin, hi - margin, size=(4 * n_points, bench.dim))
+    X = rng.uniform(lo + margin, hi - margin, size=(4 * _FD_CHECK_POINTS, bench.dim))
     if bench.smooth_mask is not None:
         X = X[bench.smooth_mask(X)]
-    X = X[:n_points]
+    X = X[:_FD_CHECK_POINTS]
     G = bench.grad(X)
     fd = np.empty_like(G)
     for j in range(bench.dim):
@@ -386,7 +389,8 @@ def generate_dataset(
     K: int,
     sampling: str = "uniform-random",
     noise_sigma: float | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     test_size: int | None = None,
     with_hessians: bool = False,
 ) -> tuple[DataSet, DataSet, DataSet]:
@@ -407,7 +411,6 @@ def generate_dataset(
         raise ValueError("need K >= 10")
     if sampling not in ("grid", "uniform-random"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
-    rng = np.random.default_rng() if rng is None else rng
     noise = bench.noise_sigma if noise_sigma is None else noise_sigma
     test_size = K if test_size is None else test_size
     lo, hi = bench.box[:, 0], bench.box[:, 1]

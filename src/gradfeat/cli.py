@@ -42,8 +42,6 @@ from .samplers import (
     AcceptanceCollapseError,
     AllZeroGradientsError,
     KIND_FIELDS,
-    MissingGradientsError,
-    MissingHessiansError,
     SamplerSpec,
     ZeroTraceError,
     draw,
@@ -66,8 +64,6 @@ CSV_COLUMNS = (
 )
 
 _CELL_ERRORS = {
-    MissingGradientsError: "missing-gradients",
-    MissingHessiansError: "missing-hessians",
     AllZeroGradientsError: "all-zero-gradients",
     ZeroTraceError: "zero-trace",
     NonsmoothModelError: "delta-zero",
@@ -83,9 +79,14 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is an int or a float; a bool is not a number here."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
 def _is_positive(value) -> bool:
-    """Whether ``value`` is a finite number > 0; a bool is not a number here."""
-    return (_is_int(value) or isinstance(value, (float, np.floating))) and 0.0 < value < np.inf
+    """Whether ``value`` is a finite number > 0."""
+    return _is_number(value) and 0.0 < value < np.inf
 
 
 @dataclass
@@ -116,7 +117,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.delta is None:
             self.delta = 1.0 / 80.0 if self.d == 1 else 1.0 / 40.0
-        elif isinstance(self.delta, bool):
+        elif not _is_number(self.delta):
             raise ConfigError(f"delta must be a number, got {self.delta!r}")
         try:
             self.activation = ActivationSpec(s=self.s, delta=self.delta)
@@ -148,9 +149,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         sigma = self.noise_sigma
-        if sigma is not None and not (
-            (_is_int(sigma) or isinstance(sigma, (float, np.floating))) and 0.0 <= sigma < np.inf
-        ):
+        if sigma is not None and not (_is_number(sigma) and 0.0 <= sigma < np.inf):
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not isinstance(self.samplers, list) or not self.samplers:
             raise ConfigError(f"samplers must be a nonempty list, got {self.samplers!r}")

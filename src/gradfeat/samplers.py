@@ -171,11 +171,6 @@ class DataSet:
     def with_gradients(self, G) -> "DataSet":
         return replace(self, G=np.asarray(G, dtype=float))
 
-    @classmethod
-    def minimal(cls, d: int) -> "DataSet":
-        """Geometry-only dataset (one point at the origin); for kernel oracles."""
-        return cls(X=np.zeros((1, d)), y=np.zeros(1))
-
 
 def _is_a(value, kind) -> bool:
     """Whether ``value`` is a ``kind`` of number; a bool is not a number here."""

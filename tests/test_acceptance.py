@@ -176,11 +176,9 @@ def test_criterion_06_kernel_oracle():
     # closed form k(x, x') = 1/2 - |x - x'| / (4R), derived independently
     with criterion(6, 60.0, "uniform-law kernel: 1-d closed form + radial structure"):
         heaviside = ActivationSpec(1, 0.0)
-        ds = DataSet.minimal(1)
-        uniform = SamplerSpec(kind="uniform")
-        e1 = mc_kernel([0.5], [-0.5], uniform, ds, heaviside, 10**5, np.random.default_rng(601))
+        e1 = mc_kernel([0.5], [-0.5], heaviside, 10**5, np.random.default_rng(601))
         assert abs(e1.value - 0.25) <= 3.0 * e1.stderr
-        e2 = mc_kernel([0.0], [0.0], uniform, ds, heaviside, 10**5, np.random.default_rng(602))
+        e2 = mc_kernel([0.0], [0.0], heaviside, 10**5, np.random.default_rng(602))
         assert abs(e2.value - 0.5) <= max(3.0 * e2.stderr, 1e-3)
 
         theta = 0.8
@@ -195,10 +193,7 @@ def test_criterion_06_kernel_oracle():
                 (np.array([a, a]) / np.sqrt(2), -np.array([a, a]) / np.sqrt(2)),
             ],
         ]
-        report = radial_structure_check(
-            groups, uniform, heaviside, 5 * 10**4, np.random.default_rng(603)
-        )
-        assert report.passed
+        assert radial_structure_check(groups, heaviside, 5 * 10**4, np.random.default_rng(603))
 
 
 def test_criterion_07_exact_representation_1d():

@@ -132,6 +132,11 @@ class TestGradientStructure:
 
 
 class TestGenerateDataset:
+    def test_rng_is_required(self):
+        # an unseeded fallback would make the draw irreproducible
+        with pytest.raises(TypeError, match="rng"):
+            generate_dataset(make_benchmark("gauss1d"), 10, test_size=10)
+
     def test_grid_abscissas_1d(self):
         bench = make_benchmark("gauss1d")
         rng = np.random.default_rng(3)

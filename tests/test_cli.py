@@ -154,6 +154,7 @@ class TestConfig:
             {"activation": {"s": True}},
             {"activation": {"s": 1.0}},
             {"activation": {"delta": True}},
+            {"delta": "abc"},
             {"delta_w": True},
             {"delta_w": "abc"},
             {"delta_w": 0.0},
@@ -171,7 +172,8 @@ class TestConfig:
             "test_size_float", "master_seed_float", "master_seed_negative", "workers_zero",
             "workers_bool", "n_grid_float", "n_grid_repeated", "include_poly_string",
             "noise_sigma_negative", "noise_sigma_nan", "samplers_empty", "s_bool", "s_float",
-            "delta_bool", "delta_w_bool", "delta_w_string", "delta_w_zero", "alpha_grid_bool",
+            "delta_bool", "delta_string", "delta_w_bool", "delta_w_string", "delta_w_zero",
+            "alpha_grid_bool",
             "alpha_grid_string", "samplers_string", "n_grid_int", "benchmark_list",
             "output_dir_int",
         ],
@@ -645,6 +647,7 @@ class TestMain:
             (["--activation.s", "true"], "s must be an integer"),
             (["--activation.s", "1.0"], "s must be an integer"),
             (["--activation.delta", "true"], "delta must be a number"),
+            (["--activation.delta", "abc"], "delta must be a number, got 'abc'"),
             (["--delta_w", "true"], "delta_w"),
             (["--delta_w", "abc"], "delta_w"),
             (["--alpha_grid", "[true]"], "alpha_grid"),
@@ -668,7 +671,8 @@ class TestMain:
             "alpha_grid_repeated", "K_float", "replicates_float", "test_size_float",
             "master_seed_negative", "n_grid_repeated", "workers_zero",
             "include_poly_string", "noise_sigma_negative", "noise_sigma_nan", "samplers_empty",
-            "s_bool", "s_float", "delta_bool", "delta_w_bool", "delta_w_string", "alpha_grid_bool",
+            "s_bool", "s_float", "delta_bool", "delta_string", "delta_w_bool", "delta_w_string",
+            "alpha_grid_bool",
             "samplers_string", "order_m_bool", "nonlocal_delta_w_bool", "safety", "kappa", "n0",
             "n_grid_int", "benchmark_list", "output_dir_int", "integral_density_delta_zero",
             "psi_table_past_cap",
@@ -687,7 +691,7 @@ class TestMain:
         assert err.count("\n") == 1
         assert err.startswith(f"config error: activation must be a JSON object, got {activation!r}")
 
-    @pytest.mark.parametrize("status", [None, "missing-gradients"], ids=["header_only", "failed"])
+    @pytest.mark.parametrize("status", [None, "all-zero-gradients"], ids=["header_only", "failed"])
     def test_summarize_svg_without_ok_medians(self, tmp_path, capsys, status):
         # neither a header-only file nor one of failed cells has a median to plot
         rows = [] if status is None else [dict(

@@ -3,16 +3,15 @@ import pytest
 
 from gradfeat.activation import ActivationSpec, eval_bump
 from gradfeat.geometry import NeuronSet
-from gradfeat.kernels import (
-    InsufficientSamplesError,
-    finite_rank_kernel,
-    mc_kernel,
-    radial_structure_check,
-)
-from gradfeat.samplers import DataSet, SamplerSpec, sample_uniform
+from gradfeat.kernels import finite_rank_kernel, mc_kernel, radial_structure_check
+from gradfeat.samplers import DataSet, sample_uniform
 
 HEAVISIDE = ActivationSpec(1, 0.0)
-UNIFORM = SamplerSpec(kind="uniform")
+
+
+def origin(d):
+    # geometry-only dataset: the uniform law reads only its dimension
+    return DataSet(X=np.zeros((1, d)), y=np.zeros(1))
 
 
 def closed_form_1d(x, xp, R=1.0):
@@ -23,14 +22,14 @@ def closed_form_1d(x, xp, R=1.0):
 class TestFiniteRankKernel:
     def test_diagonal_nonnegative(self):
         rng = np.random.default_rng(0)
-        ds = DataSet.minimal(3)
+        ds = origin(3)
         neurons = sample_uniform(ds, 64, rng)
         x = rng.uniform(-0.5, 0.5, 3)
         assert finite_rank_kernel(x, x, neurons, HEAVISIDE) >= 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
-        neurons = sample_uniform(DataSet.minimal(2), 32, rng)
+        neurons = sample_uniform(origin(2), 32, rng)
         x, xp = rng.uniform(-0.5, 0.5, (2, 2))
         assert finite_rank_kernel(x, xp, neurons, HEAVISIDE) == finite_rank_kernel(
             xp, x, neurons, HEAVISIDE
@@ -42,7 +41,7 @@ class TestFiniteRankKernel:
 
     def test_gram_positive_semidefinite(self):
         rng = np.random.default_rng(2)
-        neurons = sample_uniform(DataSet.minimal(3), 200, rng)
+        neurons = sample_uniform(origin(3), 200, rng)
         pts = rng.uniform(-0.5, 0.5, (20, 3))
         gram = np.array(
             [[finite_rank_kernel(x, y, neurons, HEAVISIDE) for y in pts] for x in pts]
@@ -53,30 +52,27 @@ class TestFiniteRankKernel:
 
 class TestMcKernel:
     def test_closed_form_offset_pair(self):
-        ds = DataSet.minimal(1)
-        est = mc_kernel([0.5], [-0.5], UNIFORM, ds, HEAVISIDE, 10**5, np.random.default_rng(3))
+        est = mc_kernel([0.5], [-0.5], HEAVISIDE, 10**5, np.random.default_rng(3))
         assert abs(est.value - closed_form_1d(0.5, -0.5)) <= 3.0 * est.stderr
 
     def test_closed_form_origin(self):
-        ds = DataSet.minimal(1)
-        est = mc_kernel([0.0], [0.0], UNIFORM, ds, HEAVISIDE, 10**5, np.random.default_rng(4))
+        est = mc_kernel([0.0], [0.0], HEAVISIDE, 10**5, np.random.default_rng(4))
         assert abs(est.value - 0.5) <= max(3.0 * est.stderr, 1e-3)
 
     def test_stderr_scaling(self):
-        ds = DataSet.minimal(1)
         n = 2 * 10**4
-        e1 = mc_kernel([0.3], [-0.2], UNIFORM, ds, HEAVISIDE, n, np.random.default_rng(5))
-        e2 = mc_kernel([0.3], [-0.2], UNIFORM, ds, HEAVISIDE, 4 * n, np.random.default_rng(6))
+        e1 = mc_kernel([0.3], [-0.2], HEAVISIDE, n, np.random.default_rng(5))
+        e2 = mc_kernel([0.3], [-0.2], HEAVISIDE, 4 * n, np.random.default_rng(6))
         assert e1.stderr / e2.stderr == pytest.approx(2.0, rel=0.1)
 
     def test_requires_minimum_samples(self):
         with pytest.raises(ValueError):
-            mc_kernel([0.0], [0.0], UNIFORM, DataSet.minimal(1), HEAVISIDE, 10, np.random.default_rng(0))
+            mc_kernel([0.0], [0.0], HEAVISIDE, 10, np.random.default_rng(0))
 
     def test_finite_rank_converges_to_mc(self):
         # defect |k_N - k_10N| shrinks consistently with the MC rate
         rng = np.random.default_rng(7)
-        ds = DataSet.minimal(2)
+        ds = origin(2)
         pairs = [(rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.5, 0.5, 2)) for _ in range(9)]
         gaps = []
         for n in (100, 1000, 10000):
@@ -104,8 +100,7 @@ class TestRadialStructure:
         x = np.array([0.4, 0.1])
         xp = np.array([-0.2, 0.3])
         groups = [[(x, xp), (Q @ x, Q @ xp)]]
-        report = radial_structure_check(groups, UNIFORM, HEAVISIDE, 4 * 10**4, rng)
-        assert report.passed
+        assert radial_structure_check(groups, HEAVISIDE, 4 * 10**4, rng)
 
     def test_equal_triple_different_orientation(self):
         # same (|x|, |x'|, |x-x'|) but not related by applying one rotation to
@@ -116,8 +111,7 @@ class TestRadialStructure:
         x2 = np.array([0.0, a])
         y2 = np.array([0.0, -a])
         groups = [[(x1, y1), (x2, y2), (np.array([a / np.sqrt(2)] * 2), -np.array([a / np.sqrt(2)] * 2))]]
-        report = radial_structure_check(groups, UNIFORM, HEAVISIDE, 4 * 10**4, np.random.default_rng(9))
-        assert report.passed
+        assert radial_structure_check(groups, HEAVISIDE, 4 * 10**4, np.random.default_rng(9))
 
     def test_radial_slope_fit(self):
         # pairs with equal norms, varying separation: k = p0 - c * dist with c > 0
@@ -125,14 +119,13 @@ class TestRadialStructure:
         r = 0.5
         seps = [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
         values, errs = [], []
-        ds = DataSet.minimal(2)
         for sep, sub in zip(seps, rng.spawn(len(seps))):
             half = sep / 2.0
             y = np.sqrt(r * r - half * half)
             x1 = np.array([half, y])
             x2 = np.array([-half, y])
             assert abs(np.linalg.norm(x1) - r) < 1e-12
-            est = mc_kernel(x1, x2, UNIFORM, ds, HEAVISIDE, 10**5, sub)
+            est = mc_kernel(x1, x2, HEAVISIDE, 10**5, sub)
             values.append(est.value)
             errs.append(est.stderr)
         A = np.vstack([np.ones(len(seps)), -np.asarray(seps)]).T
@@ -145,14 +138,12 @@ class TestRadialStructure:
         groups = [[(np.array([0.4, 0.0]), np.array([0.0, 0.0])),
                    (np.array([0.5, 0.0]), np.array([0.0, 0.0]))]]
         with pytest.raises(ValueError):
-            radial_structure_check(groups, UNIFORM, HEAVISIDE, 1000, np.random.default_rng(0))
+            radial_structure_check(groups, HEAVISIDE, 1000, np.random.default_rng(0))
 
-    def test_insufficient_samples(self):
-        groups = [[(np.array([0.4, 0.0]), np.array([0.0, 0.2]))] * 2]
-        with pytest.raises(InsufficientSamplesError):
-            radial_structure_check(
-                groups, UNIFORM, HEAVISIDE, 200, np.random.default_rng(1), max_stderr=1e-6
-            )
+    def test_pair_outside_unit_ball_rejected(self):
+        groups = [[(np.array([1.2, 0.0]), np.array([0.0, 0.0]))] * 2]
+        with pytest.raises(ValueError, match="unit ball"):
+            radial_structure_check(groups, HEAVISIDE, 1000, np.random.default_rng(0))
 
 
 def test_smoothed_kernel_is_double_mollification():

@@ -78,14 +78,14 @@ class TestDataSet:
 class TestUniform:
     def test_support(self):
         rng = np.random.default_rng(0)
-        ds = DataSet.minimal(2)
+        ds = DataSet(X=np.zeros((1, 2)), y=np.zeros(1))
         ns = sample_uniform(ds, 500, rng)
         assert np.max(np.abs(np.linalg.norm(ns.a, axis=1) - 1.0)) < 1e-12
         assert np.all(np.abs(ns.b) <= 1.0)
 
     def test_offset_symmetry(self):
         rng = np.random.default_rng(1)
-        ds = DataSet.minimal(3)
+        ds = DataSet(X=np.zeros((1, 3)), y=np.zeros(1))
         ns = sample_uniform(ds, 10**5, rng)
         assert abs(np.mean(ns.b)) <= 4.0 / np.sqrt(3 * 10**5)
 
