@@ -44,6 +44,8 @@ from .samplers import (
     KIND_FIELDS,
     SamplerSpec,
     ZeroTraceError,
+    _is_int,
+    _is_number,
     draw,
     export_weights_text,
 )
@@ -73,15 +75,6 @@ _CELL_ERRORS = {
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is an int or a float; a bool is not a number here."""
-    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _is_positive(value) -> bool:
@@ -322,7 +315,8 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
 def run_experiment(config: ExperimentConfig) -> list:
     """Run the full grid; returns one row dict per (sampler, N, replicate) cell.
 
-    Cells run on a pool of ``workers`` threads.  Once a cell raises, no
+    Cells run on a pool of ``workers`` threads, the largest N first, so that
+    the last cells to finish are small ones.  Once a cell raises, no
     further cell starts; an interrupt cancels the cells not yet started.  The
     whole run, set-up and cells, holds numpy's OpenBLAS at one thread
     (``_blas.one_thread``), so that a cell's bits do not depend on the host's
@@ -333,12 +327,15 @@ def run_experiment(config: ExperimentConfig) -> list:
     labels = [s.label for s in specs]
     if len(set(labels)) != len(labels):
         raise ConfigError("sampler labels collide; use distinct kinds")
-    cells = [
-        (label, spec, n, rep)
-        for label, spec in zip(labels, specs)
-        for n in config.n_grid
-        for rep in range(config.replicates)
-    ]
+    cells = sorted(
+        (
+            (label, spec, n, rep)
+            for label, spec in zip(labels, specs)
+            for n in config.n_grid
+            for rep in range(config.replicates)
+        ),
+        key=lambda cell: -cell[2],
+    )
     with _blas.one_thread():
         master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
 

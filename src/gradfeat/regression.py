@@ -14,6 +14,26 @@ The polynomial part solves the upper-triangular ``R_pp`` with
 exact back substitution: ``qr(mode="r")`` stores zeros below the diagonal, so
 LU with partial pivoting never swaps rows (no entry below a pivot is larger
 than zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
+
+No fit or prediction builds the features of more than ``ROW_BLOCK`` (2,500)
+rows at once.  K rows are split into ``ceil(K / ROW_BLOCK)`` blocks of
+near-equal size, so a block of a split holds at least ``ROW_BLOCK / 2`` rows
+and never one (numpy sends a 1-row product down its matrix-vector path,
+which rounds differently).  The fit takes ``R`` of each block's
+``[P | F | y]`` and then ``R`` of the stacked block Rs (TSQR): both are R
+factors of the whole design, equal up to the signs of their rows, which the
+filter, the solve and the SSE do not see.  At K <= 2,500 the one block is
+the whole design and the bits are those of one QR.  Validation residuals and
+predictions are written block by block into one array, which is reduced
+once, so no sum changes its order; the blocks also give the bits of the
+whole product wherever OpenBLAS rounds ``X @ a^T`` the same for any row
+count (on SkylakeX kernels up to 192 neurons, and above that at some widths
+only).  On one BLAS thread (2-vCPU Xeon, OpenBLAS 0.3.31 SkylakeX) the QR of
+a 5000 x 153 design took 44.3 ms whole and 33.5 ms in two blocks, and of a
+5000 x 303 design 81.6 and 75.9 ms; four blocks took 31.4 and 80.0 ms and
+eight 36.6 and 117.5 ms.  Blocks of 2,500 rows also bound a cell's feature
+arrays: ``cross_validate`` at K=5000, d=8, N=300 peaked at 13.8 MB
+(tracemalloc) against 49.1 MB for whole matrices.
 """
 
 from __future__ import annotations
@@ -26,6 +46,7 @@ from .activation import ActivationSpec, eval_activation, eval_bump
 from .geometry import NeuronSet
 
 DEFAULT_ALPHA_GRID = np.logspace(0.0, -12.0, 25)  # descending, brackets both regimes
+ROW_BLOCK = 2500  # most rows of features that a fit or a prediction builds at once
 
 
 class NonsmoothModelError(ValueError):
@@ -91,6 +112,58 @@ def feature_matrix(X, neurons: NeuronSet, activation: ActivationSpec) -> np.ndar
     return phi
 
 
+def _row_blocks(K: int) -> list:
+    """Bounds ``(lo, hi)`` of ``ceil(K / ROW_BLOCK)`` near-equal row blocks of
+    K rows, one block when ``K <= ROW_BLOCK`` (module docstring)."""
+    n = max(1, -(-K // ROW_BLOCK))
+    edges = [K * i // n for i in range(n + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _design_block(phi: np.ndarray, y: np.ndarray, n_poly: int) -> np.ndarray:
+    """One row block of ``[P | F | y]``, ``P`` the last ``n_poly`` columns of
+    ``phi``."""
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite inputs to ridge solve")
+    n_neurons = phi.shape[1] - n_poly
+    # Fortran order: the QR copies its input into LAPACK's column-major
+    # layout, which is cheapest from columns that are already contiguous
+    A = np.empty((phi.shape[0], phi.shape[1] + 1), order="F")
+    A[:, :n_poly] = phi[:, n_neurons:]
+    A[:, n_poly:-1] = phi[:, :n_neurons]
+    A[:, -1] = y
+    return A
+
+
+def _stacked_r(rows, K: int, n_poly: int) -> np.ndarray:
+    """``R`` of ``[P | F | y]`` over K rows, where ``rows(lo, hi)`` gives the
+    ``(phi, y)`` of a row block: one QR per block, then one of the stacked
+    block Rs.  A block's features are dropped once its design is copied out,
+    and its design once its QR returns."""
+    Rs = [
+        np.linalg.qr(_design_block(*rows(lo, hi), n_poly), mode="r")
+        for lo, hi in _row_blocks(K)
+    ]
+    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+
+
+def _filter_path(R: np.ndarray, K: int, n_poly: int, alphas):
+    """Coefficients for every alpha, one column each, and their train SSEs,
+    from ``R`` of ``[P | F | y]`` over K rows (see :func:`_ridge_path`)."""
+    alphas = np.asarray(alphas, dtype=float)
+    if not np.all(alphas > 0.0):
+        raise ValueError(f"regularization must be positive, got {alphas}")
+    p = n_poly
+    n_neurons = R.shape[1] - p - 1
+    R_ff, r_fy = R[p:, p:-1], R[p:, -1]
+    U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
+    filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)
+    C = Vt.T @ (filt * (U.T @ r_fy)[:, None])
+    sse = np.sum((r_fy[:, None] - R_ff @ C) ** 2, axis=0)
+    q = np.linalg.solve(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
+    return np.vstack([C, q]), sse
+
+
 def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0):
     """Coefficients for every alpha, one column each, and their train SSEs.
 
@@ -99,32 +172,13 @@ def _ridge_path(phi: np.ndarray, y: np.ndarray, alphas, n_poly: int = 0):
     rows and ``R_ff``, ``r_fy`` below.  One SVD of ``R_ff`` gives the neuron
     weights ``C``, ``R_pp q = r_py - R_pf C`` the polynomial part, and
     ``||r_fy - R_ff C||^2`` the train SSE; with ``n_poly = 0`` the ``P``
-    blocks are empty.
+    blocks are empty.  ``R`` is taken from row blocks of ``phi``, as
+    :func:`cross_validate` takes it from row blocks of its features.
     """
     phi = np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    alphas = np.asarray(alphas, dtype=float)
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
-        raise ValueError("non-finite inputs to ridge solve")
-    if not np.all(alphas > 0.0):
-        raise ValueError(f"regularization must be positive, got {alphas}")
-
-    K, p = phi.shape[0], n_poly
-    n_neurons = phi.shape[1] - p
-    # Fortran order: the QR copies its input into LAPACK's column-major
-    # layout, which is cheapest from columns that are already contiguous
-    A = np.empty((K, p + n_neurons + 1), order="F")
-    A[:, :p] = phi[:, n_neurons:]
-    A[:, p:-1] = phi[:, :n_neurons]
-    A[:, -1] = y
-    R = np.linalg.qr(A, mode="r")
-    R_ff, r_fy = R[p:, p:-1], R[p:, -1]
-    U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
-    filt = sv[:, None] / (sv[:, None] ** 2 + K * n_neurons * alphas)
-    C = Vt.T @ (filt * (U.T @ r_fy)[:, None])
-    sse = np.sum((r_fy[:, None] - R_ff @ C) ** 2, axis=0)
-    q = np.linalg.solve(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
-    return np.vstack([C, q]), sse
+    R = _stacked_r(lambda lo, hi: (phi[lo:hi], y[lo:hi]), phi.shape[0], n_poly)
+    return _filter_path(R, phi.shape[0], n_poly, alphas)
 
 
 def ridge_solve(phi: np.ndarray, y: np.ndarray, alpha: float, n_poly: int = 0) -> np.ndarray:
@@ -162,12 +216,15 @@ def cross_validate(
     if grid.size > 1 and not np.all(np.diff(grid) < 0):
         raise ValueError("alpha grid must be strictly descending")
 
-    n_poly = poly_width(activation, ds_train.X.shape[1])
-    phi_train = feature_matrix(ds_train.X, neurons, activation)
-    phi_val = feature_matrix(ds_val.X, neurons, activation)
-
-    coefs, sse_train = _ridge_path(phi_train, ds_train.y, grid, n_poly)
-    sse_val = np.sum((phi_val @ coefs - ds_val.y[:, None]) ** 2, axis=0)
+    X, y = ds_train.X, ds_train.y
+    n_poly = poly_width(activation, X.shape[1])
+    R = _stacked_r(
+        lambda lo, hi: (feature_matrix(X[lo:hi], neurons, activation), y[lo:hi]), len(y), n_poly
+    )
+    coefs, sse_train = _filter_path(R, len(y), n_poly, grid)
+    res = _predict(ds_val.X, neurons, activation, coefs)
+    res -= ds_val.y[:, None]
+    sse_val = np.sum(np.square(res, out=res), axis=0)
     train_err = np.sqrt(sse_train / len(ds_train.y))
     val_err = np.sqrt((sse_train + sse_val) / (len(ds_train.y) + len(ds_val.y)))
 
@@ -190,11 +247,19 @@ def cross_validate(
     return model, report
 
 
+def _predict(X, neurons: NeuronSet, activation: ActivationSpec, coefs: np.ndarray) -> np.ndarray:
+    """``feature_matrix(X) @ coefs``, written one row block at a time into
+    one array, so that no more than a block of features exists at once."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.empty((X.shape[0],) + coefs.shape[1:])
+    for lo, hi in _row_blocks(X.shape[0]):
+        out[lo:hi] = feature_matrix(X[lo:hi], neurons, activation) @ coefs
+    return out
+
+
 def eval_model(model: RidgeModel, X) -> np.ndarray:
     """Predictions ``sum_n c_n sigma(a_n . x + b_n) + p0(x)``."""
-    return feature_matrix(X, model.neurons, model.activation) @ np.concatenate(
-        [model.c, model.poly]
-    )
+    return _predict(X, model.neurons, model.activation, np.concatenate([model.c, model.poly]))
 
 
 def eval_model_gradient(model: RidgeModel, X) -> np.ndarray:

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -172,9 +171,15 @@ class DataSet:
         return replace(self, G=np.asarray(G, dtype=float))
 
 
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is a ``kind`` of number; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; a bool is not a
+    number here.  The one rule for numbers in specs and configs."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 @dataclass(frozen=True)
@@ -190,10 +195,10 @@ class SamplerSpec:
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         fields = KIND_FIELDS[self.kind]
-        if "delta_w" in fields and not (_is_a(self.delta_w, numbers.Real)
+        if "delta_w" in fields and not (_is_number(self.delta_w)
                                         and 0.0 < self.delta_w < math.inf):
             raise ValueError(f"{self.kind} needs a finite delta_w > 0, got {self.delta_w!r}")
-        if "order_m" in fields and not _is_a(self.order_m, numbers.Integral):
+        if "order_m" in fields and not _is_int(self.order_m):
             raise ValueError(f"order_m must be an integer, got {self.order_m!r}")
         if "base" in fields and (
             self.base is None or self.base.kind not in ("local-gradient", "nonlocal-gradient")
@@ -255,13 +260,18 @@ def _mixing_weights(Xr: np.ndarray, X: np.ndarray, delta_w: float) -> np.ndarray
     The squared distances are summed one coordinate at a time, so no array
     holds more than ``len(Xr) * len(X)`` doubles.  Callers pass ``X`` in
     Fortran order, so that each coordinate ``X[:, j]`` is a contiguous column;
-    the layout does not change the bits.
+    the layout does not change the bits.  The pass works in place in two
+    arrays of that size, the sum and one difference buffer.
     """
-    sq = np.zeros((Xr.shape[0], X.shape[0]))
-    for j in range(X.shape[1]):
-        diff = np.subtract.outer(Xr[:, j], X[:, j])
+    sq = np.subtract.outer(Xr[:, 0], X[:, 0])
+    np.square(sq, out=sq)
+    diff = np.empty_like(sq)
+    for j in range(1, X.shape[1]):
+        np.subtract.outer(Xr[:, j], X[:, j], out=diff)
         sq += np.square(diff, out=diff)
-    w = np.exp(-np.sqrt(sq, out=sq) / (2.0 * delta_w))
+    np.sqrt(sq, out=sq)
+    sq /= -2.0 * delta_w
+    w = np.exp(sq, out=sq)
     w[w < WEIGHT_TRUNCATION] = 0.0
     return w
 

@@ -286,6 +286,26 @@ class TestRunExperiment:
             assert by_sampler[label]["status"] == "delta-zero"
             assert by_sampler[label]["test_rmse"] is None
 
+    def test_pool_starts_the_largest_cells_first(self, tmp_path, monkeypatch):
+        # cells go to the pool by N, descending, and otherwise in grid order;
+        # the rows come back in grid order all the same
+        calls = []
+        real = cli._run_cell
+
+        def recorded(config, label, spec, datasets, n, rep, *args):
+            calls.append((label, n, rep))
+            return real(config, label, spec, datasets, n, rep, *args)
+
+        monkeypatch.setattr(cli, "_run_cell", recorded)
+        rows = run_experiment(load_config(small_config(tmp_path, n_grid=[8, 16, 24])))
+        assert calls == [
+            (label, n, rep)
+            for n in (24, 16, 8)
+            for label in ("uniform", "local-gradient")
+            for rep in (0, 1)
+        ]
+        assert [(r["sampler"], r["N"], r["replicate"]) for r in rows] == sorted(calls)
+
     def test_each_cell_error_has_its_own_status(self):
         assert len(set(cli._CELL_ERRORS.values())) == len(cli._CELL_ERRORS)
 

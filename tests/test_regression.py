@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradfeat import _blas, regression
 from gradfeat.activation import ActivationSpec, eval_activation
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
@@ -312,6 +316,116 @@ class TestRidgeProperties:
                 # the same product may differ by a few ulps of its terms
                 terms = rmse(np.abs(phi) @ np.abs(coef), 0.0)
                 assert got == pytest.approx(rmse(phi @ coef, y), rel=1e-12, abs=1e-13 * terms)
+
+
+def single_qr_path(phi, y, alphas, p):
+    """The ridge path from one QR of the whole ``[P | F | y]``, without row blocks."""
+    K, n = phi.shape[0], phi.shape[1] - p
+    R = np.linalg.qr(np.hstack([phi[:, n:], phi[:, :n], y[:, None]]), mode="r")
+    R_ff, r_fy = R[p:, p:-1], R[p:, -1]
+    U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
+    filt = sv[:, None] / (sv[:, None] ** 2 + K * n * alphas)
+    C = Vt.T @ (filt * (U.T @ r_fy)[:, None])
+    sse = np.sum((r_fy[:, None] - R_ff @ C) ** 2, axis=0)
+    q = np.linalg.solve(R[:p, :p], R[:p, -1:] - R[:p, p:-1] @ C)
+    return np.vstack([C, q]), sse
+
+
+def cube_problem(rng, K, N, d):
+    """A random training set on the cube inscribed in the unit ball, and neurons."""
+    ds = DataSet(X=rng.uniform(-1.0, 1.0, (K, d)) / np.sqrt(d), y=rng.standard_normal(K))
+    return ds, sample_uniform(ds, N, rng)
+
+
+class TestRowBlocks:
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.sampled_from([20, 37, 49, 50, 51, 75, 99, 100, 101, 130, 149, 150, 151]),
+        N=st.integers(1, 40),
+        d=st.integers(1, 4),
+        poly=st.sampled_from(["none", "constant", "affine"]),
+    )
+    def test_blocked_path_matches_single_qr(self, seed, K, N, d, poly):
+        # one, two or three blocks of at most 50 rows against one QR of all rows
+        rng = np.random.default_rng(seed)
+        p = {"none": 0, "constant": 1, "affine": d + 1}[poly]
+        phi = np.hstack([rng.standard_normal((K, N)), _poly_block(rng.uniform(-0.5, 0.5, (K, d)), p)])
+        y = rng.standard_normal(K)
+        with mock.patch.object(regression, "ROW_BLOCK", 50):
+            assert len(regression._row_blocks(K)) == -(-K // 50)
+            coefs, sse = _ridge_path(phi, y, DEFAULT_ALPHA_GRID, p)
+        ref, ref_sse = single_qr_path(phi, y, DEFAULT_ALPHA_GRID, p)
+        if K <= 50:
+            assert np.array_equal(coefs.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(sse.view(np.int64), ref_sse.view(np.int64))
+        else:
+            err = np.linalg.norm(coefs - ref, axis=0)
+            assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=0))
+            assert np.all(np.abs(sse - ref_sse) <= 1e-10 * (y @ y))
+
+    def test_row_blocks_near_equal(self, monkeypatch):
+        monkeypatch.setattr(regression, "ROW_BLOCK", 50)
+        assert regression._row_blocks(0) == [(0, 0)]
+        assert regression._row_blocks(50) == [(0, 50)]
+        assert regression._row_blocks(51) == [(0, 25), (25, 51)]
+        assert regression._row_blocks(101) == [(0, 33), (33, 67), (67, 101)]
+
+    def test_nan_in_last_block_raises(self, monkeypatch):
+        monkeypatch.setattr(regression, "ROW_BLOCK", 50)
+        rng = np.random.default_rng(41)
+        ds, neurons = random_problem(rng, K=120, N=10)
+        phi = feature_matrix(ds.X, neurons, SIGMOID)
+        phi[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="^non-finite inputs to ridge solve$"):
+            ridge_solve(phi, ds.y, 1e-3, n_poly=1)
+        y = ds.y.copy()
+        y[-1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite inputs to ridge solve$"):
+            cross_validate(DataSet(X=ds.X, y=y), ds, neurons, SIGMOID)
+
+    def test_blocked_cross_validate_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        train, neurons = random_problem(rng, K=130, N=20)
+        val, _ = random_problem(rng, K=120, N=1)
+        whole_model, whole = cross_validate(train, val, neurons, RELU)
+        monkeypatch.setattr(regression, "ROW_BLOCK", 50)
+        model, report = cross_validate(train, val, neurons, RELU)
+        assert report.chosen_index == whole.chosen_index
+        # two R factors that agree to rounding; near alpha = 1e-12 the ReLU
+        # features' condition number magnifies that to about 1e-9
+        np.testing.assert_allclose(report.train_rmse, whole.train_rmse, rtol=1e-8)
+        np.testing.assert_allclose(report.val_rmse, whole.val_rmse, rtol=1e-8)
+        np.testing.assert_allclose(model.c, whole_model.c, rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("act", [SIGMOID, RELU])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("N", [1, 25, 150, 192])
+    def test_blocked_predictions_keep_bits(self, act, d, N):
+        # on the one BLAS thread of a run, OpenBLAS rounds X @ a^T and the
+        # product with the weights alike for any row count up to 192 neurons
+        rng = np.random.default_rng(43)
+        ds, neurons = cube_problem(rng, 5000, N, d)
+        model = RidgeModel(neurons, rng.standard_normal(N),
+                           rng.standard_normal(poly_width(act, d)), act)
+        assert len(regression._row_blocks(5000)) == 2
+        with _blas.one_thread():
+            whole = feature_matrix(ds.X, neurons, act) @ np.concatenate([model.c, model.poly])
+            blocked = eval_model(model, ds.X)
+        assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+    def test_cross_validate_memory_bounded_by_blocks(self):
+        # K=5000, d=8, N=300: whole feature matrices peaked at 49 MB
+        rng = np.random.default_rng(44)
+        train, neurons = cube_problem(rng, 5000, 300, 8)
+        val, _ = cube_problem(rng, 5000, 1, 8)
+        tracemalloc.start()
+        try:
+            cross_validate(train, val, neurons, SIGMOID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 class TestCrossValidate:

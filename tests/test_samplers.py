@@ -3,6 +3,7 @@ import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -337,6 +338,30 @@ class TestNonlocalProperties:
             np.testing.assert_allclose(
                 sqrt_tr, np.sqrt((ref * ref) @ np.sum(F**2, axis=(1, 2))), rtol=1e-13, atol=0.0
             )
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        K=st.integers(1, 60),
+        d=st.integers(1, 8),
+        log_delta_w=st.floats(-3.0, 0.5),
+        fortran=st.booleans(),
+    )
+    def test_mixing_weights_in_place_match_straightforward_bits(self, seed, rows, K, d,
+                                                                log_delta_w, fortran):
+        # the in-place pass against the formula written out with temporaries
+        rng = np.random.default_rng(seed)
+        Xr = rng.uniform(-0.5, 0.5, (rows, d))
+        X = rng.uniform(-0.5, 0.5, (K, d))
+        delta_w = 10.0**log_delta_w
+        sq = np.zeros((rows, K))
+        for j in range(d):
+            sq = sq + (Xr[:, j][:, None] - X[:, j][None, :]) ** 2
+        ref = np.exp(-np.sqrt(sq) / (2.0 * delta_w))
+        ref[ref < 1e-6] = 0.0
+        w = samplers._mixing_weights(Xr, np.asfortranarray(X) if fortran else X, delta_w)
+        assert np.array_equal(w.view(np.int64), ref.view(np.int64))
 
     @PROPERTY_SETTINGS
     @given(
@@ -784,6 +809,18 @@ class TestSamplerSpec:
             SamplerSpec(kind="nonlocal-gradient", delta_w=True)
         with pytest.raises(ValueError, match="order_m"):
             SamplerSpec(kind="integral-density", order_m=True)
+
+    def test_one_number_rule_with_the_config(self):
+        # a Fraction is no number for the spec, as it is none for the config
+        with pytest.raises(ValueError, match="delta_w"):
+            SamplerSpec(kind="nonlocal-gradient", delta_w=Fraction(1, 20))
+        with pytest.raises(cli.ConfigError, match="delta"):
+            ExperimentConfig(benchmark="gauss1d", d=1, delta=Fraction(1, 20))
+        with pytest.raises(ValueError, match="order_m"):
+            SamplerSpec(kind="integral-density", order_m=Fraction(1, 1))
+        assert SamplerSpec(kind="nonlocal-gradient", delta_w=np.float64(0.05)).delta_w == 0.05
+        assert SamplerSpec(kind="nonlocal-gradient", delta_w=np.int64(1)).delta_w == 1
+        assert SamplerSpec(kind="integral-density", order_m=np.int64(1)).order_m == 1
 
     def test_labels(self):
         assert SamplerSpec(kind="uniform").label == "uniform"
