@@ -287,6 +287,17 @@ def low_rank_factors(rng, K, d, r, hessian):
     return B, (rng.standard_normal((K, r)) @ B.T)[:, :, None]
 
 
+def turning_factors(rng, K, d, hessian):
+    """K points in a box of width 0.3, with factors (K x d x 1, or symmetric
+    K x d x d) that turn over distances of about 0.1, the mixing scale at
+    ``delta_w = 0.05``."""
+    X = rng.uniform(-0.15, 0.15, (K, d))
+    r = d if hessian else 1
+    B = 20.0 * rng.standard_normal((d * r, d))
+    F = np.cos(X @ B.T + rng.uniform(0.0, 2.0 * np.pi, d * r)).reshape(K, d, r)
+    return X, F + F.transpose(0, 2, 1) if hessian else F
+
+
 class TestNonlocalProperties:
     """The shared nonlocal construction, for K x d x 1 and K x d x d factors."""
 
@@ -421,6 +432,30 @@ class TestNonlocalProperties:
         blocked = samplers._sample_nonlocal(ds, F, 20, 0.1, sqrt_tr, np.random.default_rng(38))
         assert np.allclose(blocked.a, whole.a, rtol=0.0, atol=1e-12)
         assert np.allclose(blocked.b, whole.b, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("hessian", [False, True])
+    def test_law_at_grid_width_is_the_mixture_covariance(self, d, hessian):
+        # from one source point k, at the width the grids use, a = v / |v| with
+        # v ~ N(0, C_k), C_k = sum_k' w_kk'^2 F_k' F_k'^T; the reference draws v
+        # from C_k's eigen factor on its own stream.  Mixing by w^2, which has
+        # the law of delta_w in place of 2 delta_w, fails every case here, each
+        # at p < 1e-13 on one u at least.
+        rng = np.random.default_rng(3)
+        K, n, delta_w = 40, 4000, 0.05
+        X, F = turning_factors(rng, K, d, hessian)
+        U = rng.standard_normal((3, d))
+        k = int(np.argmin(np.linalg.norm(X, axis=1)))
+        w = np.exp(-np.linalg.norm(X - X[k], axis=1) / (2.0 * delta_w))
+        w[w < 1e-6] = 0.0
+        lam, V = np.linalg.eigh(np.einsum("k,kir,kjr->ij", w**2, F, F))
+        L = V * np.sqrt(np.maximum(lam, 0.0))
+        v = np.random.default_rng(203).standard_normal((n, d)) @ L.T
+        ref = v / np.linalg.norm(v, axis=1, keepdims=True)
+        ds = DataSet(X=X, y=np.zeros(K))
+        ns = samplers._sample_nonlocal(ds, F, n, delta_w, np.eye(K)[k], np.random.default_rng(103))
+        for u in U:
+            assert ks_2samp(np.abs(ns.a @ u), np.abs(ref @ u)).pvalue > 0.01
 
     def test_draws_on_one_dataset_share_one_pass(self, source_weight_passes):
         # two draws on one dataset give the bits of one draw each on two fresh
