@@ -24,7 +24,6 @@ from .regression import (
 )
 from .samplers import (
     DataSet,
-    DrawResult,
     SamplerSpec,
     draw,
     eval_integral_density,
@@ -32,8 +31,7 @@ from .samplers import (
     sample_active_subspace,
     sample_integral_density,
     sample_local_gradient,
-    sample_nonlocal_gradient,
-    sample_nonlocal_hessian,
+    sample_nonlocal,
     sample_residual,
     sample_uniform,
 )

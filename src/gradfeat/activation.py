@@ -178,9 +178,7 @@ def build_psi_table(m: int, d: int, delta: float, T: float) -> PsiTable:
 
     n = int(2 ** np.ceil(np.log2(32.0 * T / delta)))  # spacing h <= delta/16
     h = 2.0 * T / n
-    b = -T + h * np.arange(n)
-    samples = np.exp(-np.abs(b) / delta)
-    samples = samples / (1.0 + samples) ** 2 / delta
+    samples = eval_bump(ActivationSpec(1, delta), -T + h * np.arange(n))
 
     xi = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
     mult = (-1j * xi) ** m * np.abs(xi) ** (d - 1)

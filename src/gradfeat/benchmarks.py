@@ -311,6 +311,18 @@ def supported_benchmarks() -> dict:
     return {name: dims for name, (dims, _) in _FACTORIES.items()}
 
 
+def _central_difference(fn: Callable, X: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``(fn(X + h_j e_j) - fn(X - h_j e_j)) / (2 h_j)`` for each coordinate j,
+    with ``h_j = steps[j]``, stacked along a new last axis."""
+    cols = []
+    for j, h in enumerate(steps):
+        Xp, Xm = X.copy(), X.copy()
+        Xp[:, j] += h
+        Xm[:, j] -= h
+        cols.append((fn(Xp) - fn(Xm)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def _fd_gradient_check(bench: Benchmark) -> None:
     rng = np.random.default_rng(0)
     lo, hi = bench.box[:, 0], bench.box[:, 1]
@@ -321,13 +333,8 @@ def _fd_gradient_check(bench: Benchmark) -> None:
         X = X[bench.smooth_mask(X)]
     X = X[:_FD_CHECK_POINTS]
     G = bench.grad(X)
-    fd = np.empty_like(G)
-    for j in range(bench.dim):
-        h = 1e-6 * width[j]  # relative step; absolute steps underflow wide boxes
-        Xp, Xm = X.copy(), X.copy()
-        Xp[:, j] += h
-        Xm[:, j] -= h
-        fd[:, j] = (bench.f(Xp) - bench.f(Xm)) / (2.0 * h)
+    # relative steps; absolute ones underflow wide boxes
+    fd = _central_difference(bench.f, X, 1e-6 * width)
     scale = np.maximum(np.linalg.norm(G, axis=1), np.median(np.linalg.norm(G, axis=1)) * 1e-3)
     worst = np.max(np.linalg.norm(fd - G, axis=1) / np.maximum(scale, 1e-300))
     if worst > 1e-5:
@@ -335,18 +342,10 @@ def _fd_gradient_check(bench: Benchmark) -> None:
 
 
 def _fd_hessian_from_grad(bench: Benchmark) -> Callable[[np.ndarray], np.ndarray]:
-    width = bench.box[:, 1] - bench.box[:, 0]
+    steps = 1e-5 * (bench.box[:, 1] - bench.box[:, 0])
 
     def hess(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, d = X.shape
-        H = np.empty((n, d, d))
-        for j in range(d):
-            h = 1e-5 * width[j]
-            Xp, Xm = X.copy(), X.copy()
-            Xp[:, j] += h
-            Xm[:, j] -= h
-            H[:, :, j] = (bench.grad(Xp) - bench.grad(Xm)) / (2.0 * h)
+        H = _central_difference(bench.grad, np.atleast_2d(np.asarray(X, dtype=float)), steps)
         return 0.5 * (H + np.transpose(H, (0, 2, 1)))
 
     return hess

@@ -46,6 +46,7 @@ from .samplers import (
     ZeroTraceError,
     _is_int,
     _is_number,
+    _is_positive,
     draw,
     export_weights_text,
 )
@@ -75,11 +76,6 @@ _CELL_ERRORS = {
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _is_positive(value) -> bool:
-    """Whether ``value`` is a finite number > 0."""
-    return _is_number(value) and 0.0 < value < np.inf
 
 
 @dataclass
@@ -299,13 +295,13 @@ def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStrea
     _, test, fit = datasets[rep]
     t0 = time.perf_counter()
     try:
-        result = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)
-        model, report = fit(result.neurons)
+        neurons, accept_rate = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)
+        model, report = fit(neurons)
         row["alpha"] = report.alpha
         row["train_rmse"] = float(report.train_rmse[report.chosen_index])
         row["val_rmse"] = float(report.val_rmse[report.chosen_index])
         row["test_rmse"] = rmse(eval_model(model, test.X), test.y)
-        row["accept_rate"] = result.accept_rate
+        row["accept_rate"] = accept_rate
     except tuple(_CELL_ERRORS) as exc:
         row["status"] = _CELL_ERRORS[type(exc)]
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
@@ -450,11 +446,11 @@ def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path
     spec = parse_sampler_entry(sampler, config)
     with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
         master, psi_table, datasets = _prepare(config, [spec], [seed])
-        result = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
+        neurons, _ = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"
-    export_weights_text(result.neurons, path)
+    export_weights_text(neurons, path)
     return path
 
 

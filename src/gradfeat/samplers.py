@@ -19,7 +19,7 @@ Every unit normal drawn from a Gaussian-type proposal (uniform, active
 subspace, nonlocal) goes through ``geometry.unit_rows``, which redraws only
 the rows whose norm is below 1e-300 and then divides by the norms.
 
-The two nonlocal samplers share one construction over per-point factors
+Both nonlocal kinds draw through ``sample_nonlocal``, over per-point factors
 ``F_k``: K x d x 1 for gradients and K x d x d for Hessians.  The spatial
 mixing weights are ``w(x, x') = exp(-|x - x'| / (2 delta_w))``, set to zero
 below 1e-6, that is for pairs farther apart than ``2 delta_w ln(1e6)``
@@ -66,8 +66,8 @@ n-th neuron is accepted: about ``n / rate`` proposals, not a fixed batch.
 
 from __future__ import annotations
 
+import functools
 import logging
-import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -182,6 +182,11 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, (float, np.floating))
 
 
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a finite number > 0."""
+    return _is_number(value) and 0.0 < value < np.inf
+
+
 @dataclass(frozen=True)
 class SamplerSpec:
     """Tagged sampling strategy with its hyperparameters."""
@@ -195,8 +200,7 @@ class SamplerSpec:
         if self.kind not in KIND_FIELDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         fields = KIND_FIELDS[self.kind]
-        if "delta_w" in fields and not (_is_number(self.delta_w)
-                                        and 0.0 < self.delta_w < math.inf):
+        if "delta_w" in fields and not _is_positive(self.delta_w):
             raise ValueError(f"{self.kind} needs a finite delta_w > 0, got {self.delta_w!r}")
         if "order_m" in fields and not _is_int(self.order_m):
             raise ValueError(f"order_m must be an integer, got {self.order_m!r}")
@@ -278,9 +282,12 @@ def _mixing_weights(Xr: np.ndarray, X: np.ndarray, delta_w: float) -> np.ndarray
 
 def nonlocal_factor(ds: DataSet, kind: str) -> np.ndarray:
     """The per-point factors ``F_k`` of a nonlocal ``kind``: the gradients as
-    K x d x 1 for ``nonlocal-gradient``, the Hessians K x d x d otherwise."""
+    K x d x 1 for ``nonlocal-gradient``, the Hessians K x d x d for
+    ``nonlocal-hessian``."""
     if kind == "nonlocal-gradient":
         return _require_gradients(ds)[:, :, None]
+    if kind != "nonlocal-hessian":
+        raise ValueError(f"not a nonlocal sampler kind: {kind!r}")
     if ds.H is None:
         raise MissingHessiansError("dataset has no Hessian data")
     return ds.H
@@ -362,29 +369,16 @@ def _memoized(ds: DataSet, key, compute: Callable):
         return ds._memo[key]
 
 
-def _source_weights(ds: DataSet, kind: str, delta_w: float) -> np.ndarray:
-    """The ``nonlocal_source_weights`` of ``ds`` for ``kind`` at ``delta_w``,
-    computed on first use and kept on the dataset."""
-    return _memoized(
-        ds, (kind, delta_w),
-        lambda: nonlocal_source_weights(ds, nonlocal_factor(ds, kind), delta_w),
-    )
-
-
-def sample_nonlocal_gradient(
-    ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
+def sample_nonlocal(
+    ds: DataSet, n: int, delta_w: float, rng: np.random.Generator, *, kind: str
 ) -> NeuronSet:
-    """Spatially mixed gradients ``sum_k' w g_k' xi_k'`` (factor K x d x 1)."""
-    sqrt_tr = _source_weights(ds, "nonlocal-gradient", delta_w)
-    return _sample_nonlocal(ds, nonlocal_factor(ds, "nonlocal-gradient"), n, delta_w, sqrt_tr, rng)
-
-
-def sample_nonlocal_hessian(
-    ds: DataSet, n: int, delta_w: float, rng: np.random.Generator
-) -> NeuronSet:
-    """Spatially mixed Hessian actions ``sum_k' w H_k' xi_k'`` (factor K x d x d)."""
-    sqrt_tr = _source_weights(ds, "nonlocal-hessian", delta_w)
-    return _sample_nonlocal(ds, nonlocal_factor(ds, "nonlocal-hessian"), n, delta_w, sqrt_tr, rng)
+    """Spatially mixed factors of a nonlocal ``kind``: gradients ``sum_k' w g_k'
+    xi_k'`` for ``nonlocal-gradient``, Hessian actions ``sum_k' w H_k' xi_k'``
+    for ``nonlocal-hessian`` (``nonlocal_factor``).  The source-point weights
+    are computed on first use and kept on the dataset per (kind, delta_w)."""
+    F = nonlocal_factor(ds, kind)
+    sqrt_tr = _memoized(ds, (kind, delta_w), lambda: nonlocal_source_weights(ds, F, delta_w))
+    return _sample_nonlocal(ds, F, n, delta_w, sqrt_tr, rng)
 
 
 def _density_block(ds: DataSet) -> int:
@@ -506,8 +500,8 @@ _NEURON_SAMPLERS = {
     "uniform": sample_uniform,
     "active-subspace": sample_active_subspace,
     "local-gradient": sample_local_gradient,
-    "nonlocal-gradient": sample_nonlocal_gradient,
-    "nonlocal-hessian": sample_nonlocal_hessian,
+    "nonlocal-gradient": functools.partial(sample_nonlocal, kind="nonlocal-gradient"),
+    "nonlocal-hessian": functools.partial(sample_nonlocal, kind="nonlocal-hessian"),
 }
 
 
@@ -552,14 +546,6 @@ def sample_residual(
     return neurons
 
 
-@dataclass
-class DrawResult:
-    """Neurons plus the acceptance rate of rejection sampling."""
-
-    neurons: NeuronSet
-    accept_rate: float | None = None
-
-
 def draw(
     spec: SamplerSpec,
     ds: DataSet,
@@ -567,8 +553,10 @@ def draw(
     rng: np.random.Generator,
     psi_table: PsiTable | None = None,
     fit_callback: Callable[[NeuronSet], RidgeModel] | None = None,
-) -> DrawResult:
-    """Run the strategy described by ``spec`` and normalize the outputs."""
+) -> tuple[NeuronSet, float | None]:
+    """Run the strategy described by ``spec``; returns the neurons and the
+    realized acceptance rate, which only ``integral-density`` has (``None``
+    for every other kind)."""
     if n < 1:
         raise ValueError("need at least one neuron")
     if spec.kind == "integral-density":
@@ -578,13 +566,12 @@ def draw(
             raise ValueError(
                 f"psi table order {psi_table.m} does not match sampler order {spec.order_m}"
             )
-        neurons, rate = sample_integral_density(ds, psi_table, n, rng)
-        return DrawResult(neurons, accept_rate=rate)
+        return sample_integral_density(ds, psi_table, n, rng)
     if spec.kind == "residual":
         if fit_callback is None:
             raise ValueError("residual sampling needs a regression callback")
-        return DrawResult(sample_residual(ds, spec, n, fit_callback, rng))
-    return DrawResult(_sample_base(spec, ds, n, rng))
+        return sample_residual(ds, spec, n, fit_callback, rng), None
+    return _sample_base(spec, ds, n, rng), None
 
 
 def export_weights_text(neurons: NeuronSet, path) -> None:

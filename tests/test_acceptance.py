@@ -304,7 +304,7 @@ def test_criterion_09_sampler_statistics():
             SamplerSpec(kind="local-gradient"),
             SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         ):
-            out = draw(spec, train, 400, np.random.default_rng(905)).neurons
+            out, _ = draw(spec, train, 400, np.random.default_rng(905))
             assert np.max(np.abs(out.a @ orth)) <= 1e-10, spec.kind
 
 

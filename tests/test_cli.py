@@ -811,9 +811,9 @@ class TestExportWeights:
         run_draw = cli.draw
 
         def recording_draw(*args, **kwargs):
-            result = run_draw(*args, **kwargs)
-            drawn.append(result.neurons)
-            return result
+            neurons, rate = run_draw(*args, **kwargs)
+            drawn.append(neurons)
+            return neurons, rate
 
         monkeypatch.setattr(cli, "draw", recording_draw)
         run_experiment(cfg)  # serial: one draw per replicate, in order

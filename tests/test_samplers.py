@@ -34,8 +34,7 @@ from gradfeat.samplers import (
     sample_active_subspace,
     sample_integral_density,
     sample_local_gradient,
-    sample_nonlocal_gradient,
-    sample_nonlocal_hessian,
+    sample_nonlocal,
     sample_residual,
     sample_uniform,
 )
@@ -183,7 +182,7 @@ class TestNonlocalGradient:
     def test_small_width_reduces_to_local_atoms(self):
         rng = np.random.default_rng(10)
         ds = gradient_dataset(rng, K=8)
-        ns = sample_nonlocal_gradient(ds, 300, 1e-12, np.random.default_rng(11))
+        ns = sample_nonlocal(ds, 300, 1e-12, np.random.default_rng(11), kind="nonlocal-gradient")
         norms = np.linalg.norm(ds.G, axis=1)
         atoms_a = ds.G / norms[:, None]
         atoms_b = -np.sum(atoms_a * ds.X, axis=1)
@@ -200,7 +199,7 @@ class TestNonlocalGradient:
     def test_huge_width_matches_active_subspace_law(self):
         ds = planar_wave_dataset(K=200, seed=12)
         n = 3000
-        ns = sample_nonlocal_gradient(ds, n, 1e9, np.random.default_rng(13))
+        ns = sample_nonlocal(ds, n, 1e9, np.random.default_rng(13), kind="nonlocal-gradient")
         ref = sample_active_subspace(ds, n, np.random.default_rng(14))
         # directions live on a rank-1 subspace here; compare sign-invariant law
         v = np.array([1.0, -np.sqrt(2.0)]) / np.sqrt(3.0)
@@ -211,7 +210,7 @@ class TestNonlocalGradient:
         rng = np.random.default_rng(15)
         ds = gradient_dataset(rng, K=40, d=3)
         n = 4000
-        ns = sample_nonlocal_gradient(ds, n, 1e9, np.random.default_rng(16))
+        ns = sample_nonlocal(ds, n, 1e9, np.random.default_rng(16), kind="nonlocal-gradient")
         ref = sample_active_subspace(ds, n, np.random.default_rng(17))
         w = rng.standard_normal(3)
         stat = ks_2samp(np.abs(ns.a @ w), np.abs(ref.a @ w))
@@ -223,7 +222,7 @@ class TestNonlocalGradient:
         coef = rng.standard_normal((25, 2))
         G = coef @ np.vstack([v1, v2])
         ds = DataSet(X=rng.uniform(-0.4, 0.4, (25, 3)), y=np.zeros(25), G=G)
-        ns = sample_nonlocal_gradient(ds, 150, 0.05, rng)
+        ns = sample_nonlocal(ds, 150, 0.05, rng, kind="nonlocal-gradient")
         residual = ns.a.copy()
         residual[:, :2] = 0.0  # range(G) = span(e1, e2)
         assert np.max(np.linalg.norm(residual, axis=1)) < 1e-10
@@ -232,21 +231,21 @@ class TestNonlocalGradient:
         rng = np.random.default_rng(19)
         ds = gradient_dataset(rng, K=30)
         delta_w = 0.05
-        ns = sample_nonlocal_gradient(ds, 400, delta_w, rng)
+        ns = sample_nonlocal(ds, 400, delta_w, rng, kind="nonlocal-gradient")
         slack = np.abs(ns.a @ ds.X.T + ns.b[:, None]).min(axis=1)
         assert np.max(slack) <= 6.0 * delta_w
 
     def test_zero_trace(self):
         ds = DataSet(X=np.zeros((3, 2)), y=np.zeros(3), G=np.zeros((3, 2)))
         with pytest.raises(ZeroTraceError):
-            sample_nonlocal_gradient(ds, 5, 0.1, np.random.default_rng(0))
+            sample_nonlocal(ds, 5, 0.1, np.random.default_rng(0), kind="nonlocal-gradient")
 
 
 class TestNonlocalHessian:
     def test_rank_one_hessian_atoms(self):
         H = np.array([[[1.0, 0.0], [0.0, 0.0]]])
         ds = DataSet(X=np.zeros((1, 2)), y=np.zeros(1), H=H)
-        ns = sample_nonlocal_hessian(ds, 2000, 1e-9, np.random.default_rng(20))
+        ns = sample_nonlocal(ds, 2000, 1e-9, np.random.default_rng(20), kind="nonlocal-hessian")
         assert np.max(np.abs(np.abs(ns.a[:, 0]) - 1.0)) < 1e-12
         frac = np.mean(ns.a[:, 0] > 0)
         assert abs(frac - 0.5) <= 3.0 * 0.5 / np.sqrt(2000)
@@ -255,7 +254,7 @@ class TestNonlocalHessian:
         H = np.zeros((4, 2, 2))
         ds = DataSet(X=np.zeros((4, 2)), y=np.zeros(4), H=H)
         with pytest.raises(ZeroTraceError):
-            sample_nonlocal_hessian(ds, 5, 0.1, np.random.default_rng(0))
+            sample_nonlocal(ds, 5, 0.1, np.random.default_rng(0), kind="nonlocal-hessian")
 
     def test_direction_in_hessian_span(self):
         rng = np.random.default_rng(21)
@@ -266,13 +265,18 @@ class TestNonlocalHessian:
             M[:2, :2] = rng.standard_normal((2, 2))
             H[k] = M + M.T
         ds = DataSet(X=rng.uniform(-0.4, 0.4, (K, 3)), y=np.zeros(K), H=H)
-        ns = sample_nonlocal_hessian(ds, 100, 0.05, rng)
+        ns = sample_nonlocal(ds, 100, 0.05, rng, kind="nonlocal-hessian")
         assert np.max(np.abs(ns.a[:, 2])) < 1e-10
 
     def test_requires_hessians(self):
         ds = DataSet(X=np.zeros((2, 2)), y=np.zeros(2))
         with pytest.raises(MissingHessiansError):
-            sample_nonlocal_hessian(ds, 3, 0.1, np.random.default_rng(0))
+            sample_nonlocal(ds, 3, 0.1, np.random.default_rng(0), kind="nonlocal-hessian")
+
+    def test_kind_must_be_nonlocal(self):
+        ds = DataSet(X=np.zeros((2, 2)), y=np.zeros(2), G=np.ones((2, 2)), H=np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="not a nonlocal sampler kind"):
+            sample_nonlocal(ds, 3, 0.1, np.random.default_rng(0), kind="local-gradient")
 
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -469,8 +473,8 @@ class TestNonlocalProperties:
         for kind in ("nonlocal-gradient", "nonlocal-hessian"):
             spec = SamplerSpec(kind=kind, delta_w=0.07)
             for seed, copy in zip((41, 42), fresh):
-                shared = draw(spec, ds, 25, np.random.default_rng(seed)).neurons
-                alone = draw(spec, copy, 25, np.random.default_rng(seed)).neurons
+                shared, _ = draw(spec, ds, 25, np.random.default_rng(seed))
+                alone, _ = draw(spec, copy, 25, np.random.default_rng(seed))
                 assert np.array_equal(shared.a, alone.a) and np.array_equal(shared.b, alone.b)
         # one pass per kind on the shared dataset, and one per kind on each copy
         assert sum(args[0] is ds for args in source_weight_passes) == 2
@@ -486,7 +490,7 @@ class TestNonlocalProperties:
 
         def task(_):
             start.wait(timeout=60)
-            return draw(spec, ds, 10, np.random.default_rng(44)).neurons
+            return draw(spec, ds, 10, np.random.default_rng(44))[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -874,10 +878,21 @@ class TestDrawDispatcher:
             SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         ]
         for spec in specs:
-            a = draw(spec, ds, 50, np.random.default_rng(99)).neurons
-            b = draw(spec, ds, 50, np.random.default_rng(99)).neurons
+            a, _ = draw(spec, ds, 50, np.random.default_rng(99))
+            b, _ = draw(spec, ds, 50, np.random.default_rng(99))
             assert np.array_equal(np.sort(a.a, axis=0), np.sort(b.a, axis=0))
             assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b)
+
+    def test_only_integral_density_has_a_rate(self, psi):
+        ds = gauss1d_dataset(K=200)
+        for spec in (SamplerSpec(kind="uniform"),
+                     SamplerSpec(kind="nonlocal-gradient", delta_w=0.05)):
+            assert draw(spec, ds, 10, np.random.default_rng(35))[1] is None
+        neurons, rate = draw(SamplerSpec(kind="integral-density"), ds, 10,
+                             np.random.default_rng(36), psi_table=psi)
+        ref, ref_rate = sample_integral_density(ds, psi, 10, np.random.default_rng(36))
+        assert np.array_equal(neurons.a, ref.a) and np.array_equal(neurons.b, ref.b)
+        assert rate == ref_rate and 0.0 < rate <= 1.0
 
     def test_missing_extras_rejected(self):
         ds = planar_wave_dataset(K=50, seed=32)
@@ -905,7 +920,7 @@ class TestSupportCondition:
             "local-gradient": SamplerSpec(kind="local-gradient"),
             "nonlocal-gradient": SamplerSpec(kind="nonlocal-gradient", delta_w=0.05),
         }[kind]
-        ns = draw(spec, ds, 300, np.random.default_rng(34)).neurons
+        ns, _ = draw(spec, ds, 300, np.random.default_rng(34))
         orth = np.array([np.sqrt(2.0), 1.0]) / np.sqrt(3.0)
         assert np.max(np.abs(ns.a @ orth)) < 1e-10
         if kind == "local-gradient":
