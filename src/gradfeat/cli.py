@@ -353,26 +353,6 @@ def run_experiment(config: ExperimentConfig) -> list:
     return rows
 
 
-def summarize(rows: list) -> list:
-    """Per-(sampler, N) medians and quartiles of the test error over ok cells."""
-    out = []
-    for bench, sampler, n in sorted({(r["benchmark"], r["sampler"], r["N"]) for r in rows}):
-        group = [r for r in rows if (r["benchmark"], r["sampler"], r["N"]) == (bench, sampler, n)]
-        ok = [r["test_rmse"] for r in group if r["status"] == "ok"]
-        entry = {
-            "benchmark": bench,
-            "sampler": sampler,
-            "N": n,
-            "n_ok": len(ok),
-            "n_cells": len(group),
-            "median_test_rmse": float(np.median(ok)) if ok else None,
-            "q1_test_rmse": float(np.percentile(ok, 25)) if ok else None,
-            "q3_test_rmse": float(np.percentile(ok, 75)) if ok else None,
-        }
-        out.append(entry)
-    return out
-
-
 SUMMARY_COLUMNS = (
     "benchmark",
     "sampler",
@@ -383,6 +363,17 @@ SUMMARY_COLUMNS = (
     "q1_test_rmse",
     "q3_test_rmse",
 )
+
+
+def summarize(rows: list) -> list:
+    """Per-(sampler, N) medians and quartiles of the test error over ok cells."""
+    out = []
+    for key in sorted({(r["benchmark"], r["sampler"], r["N"]) for r in rows}):
+        group = [r for r in rows if (r["benchmark"], r["sampler"], r["N"]) == key]
+        ok = [r["test_rmse"] for r in group if r["status"] == "ok"]
+        stats = [float(np.median(ok)), *np.percentile(ok, [25, 75]).tolist()] if ok else [None] * 3
+        out.append(dict(zip(SUMMARY_COLUMNS, (*key, len(ok), len(group), *stats))))
+    return out
 
 
 def write_summary_csv(summary: list, path) -> None:
@@ -444,11 +435,11 @@ def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = parse_sampler_entry(sampler, config)
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)  # before the draw, which it could waste
     with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
         master, psi_table, datasets = _prepare(config, [spec], [seed])
         neurons, _ = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"
     export_weights_text(neurons, path)
     return path
@@ -529,9 +520,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = load_config(args.config, args)
-            rows = run_experiment(config)
             outdir = Path(config.output_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
+            outdir.mkdir(parents=True, exist_ok=True)  # before the grid, which it could waste
+            rows = run_experiment(config)
             path = outdir / "results.csv"
             write_results_csv(rows, path)
             failed = sum(r["status"] != "ok" for r in rows)
@@ -565,6 +556,11 @@ def main(argv=None) -> int:
             return 0
     except (ConfigError, UnknownBenchmarkError, GridSizeError, GridResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # the readers raise ConfigError, so a named path is an output
+        if exc.filename is None:
+            raise
+        print(f"config error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

@@ -16,13 +16,15 @@ LU with partial pivoting never swaps rows (no entry below a pivot is larger
 than zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
 
 No fit or prediction builds the features of more than ``ROW_BLOCK`` (2,500)
-rows at once.  K rows are split into ``ceil(K / ROW_BLOCK)`` blocks of
-near-equal size, so a block of a split holds at least ``ROW_BLOCK / 2`` rows
-and never one (numpy sends a 1-row product down its matrix-vector path,
-which rounds differently).  The fit takes ``R`` of each block's
-``[P | F | y]`` and then ``R`` of the stacked block Rs (TSQR): both are R
-factors of the whole design, equal up to the signs of their rows, which the
-filter, the solve and the SSE do not see.  At K <= 2,500 the one block is
+rows at once.  ``_row_blocks(n, size)`` splits n rows into ``ceil(n / size)``
+blocks of near-equal size, or into ``n // 2`` where that would leave a block
+of one row: numpy sends a 1-row product down its matrix-vector path, which
+rounds differently.  A split of K rows at ``ROW_BLOCK`` holds at least
+``ROW_BLOCK / 2`` rows per block; the integral density in ``samplers`` splits
+its proposals by the same rule at its own size.  The fit takes ``R`` of each
+block's ``[P | F | y]`` and then ``R`` of the stacked block Rs (TSQR): both
+are R factors of the whole design, equal up to the signs of their rows, which
+the filter, the solve and the SSE do not see.  At K <= 2,500 the one block is
 the whole design and the bits are those of one QR.  Validation residuals and
 predictions are written block by block into one array, which is reduced
 once, so no sum changes its order; the blocks also give the bits of the
@@ -112,11 +114,12 @@ def feature_matrix(X, neurons: NeuronSet, activation: ActivationSpec) -> np.ndar
     return phi
 
 
-def _row_blocks(K: int) -> list:
-    """Bounds ``(lo, hi)`` of ``ceil(K / ROW_BLOCK)`` near-equal row blocks of
-    K rows, one block when ``K <= ROW_BLOCK`` (module docstring)."""
-    n = max(1, -(-K // ROW_BLOCK))
-    edges = [K * i // n for i in range(n + 1)]
+def _row_blocks(n: int, size: int) -> list:
+    """Bounds ``(lo, hi)`` of ``ceil(n / size)`` near-equal blocks of n rows,
+    or of fewer where that would leave a block of one row (module
+    docstring); one block when ``n <= size``."""
+    k = max(1, min(-(-n // size), n // 2))
+    edges = [n * i // k for i in range(k + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -142,7 +145,7 @@ def _stacked_r(rows, K: int, n_poly: int) -> np.ndarray:
     and its design once its QR returns."""
     Rs = [
         np.linalg.qr(_design_block(*rows(lo, hi), n_poly), mode="r")
-        for lo, hi in _row_blocks(K)
+        for lo, hi in _row_blocks(K, ROW_BLOCK)
     ]
     return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
 
@@ -252,7 +255,7 @@ def _predict(X, neurons: NeuronSet, activation: ActivationSpec, coefs: np.ndarra
     one array, so that no more than a block of features exists at once."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.empty((X.shape[0],) + coefs.shape[1:])
-    for lo, hi in _row_blocks(X.shape[0]):
+    for lo, hi in _row_blocks(X.shape[0], ROW_BLOCK):
         out[lo:hi] = feature_matrix(X[lo:hi], neurons, activation) @ coefs
     return out
 

@@ -44,11 +44,9 @@ nor the column layout changes the arithmetic, so the draws are bit for bit
 those of computing everything per draw.
 
 The integral density evaluates its proposals against the K data points in
-row blocks of the same bound, except that a block holds at least 2 rows
-even when ``2 K > BLOCK_DOUBLES``, and a lone last row joins the block
-before it: numpy sends a 1-row product down its matrix-vector path, whose
-sums round differently.  Each row's mean is reduced on its own, so the
-blocks give the bits of one n x K evaluation.
+``regression._row_blocks`` of ``BLOCK_DOUBLES // K`` rows, at least 2.  Each
+row's mean is reduced on its own, so the blocks give the bits of one n x K
+evaluation.
 
 The integral-density sampler's rejection envelope is ``SAFETY`` (1.5) times
 the density maximum over a fixed pilot design: ``PILOT_SIZE`` uniform
@@ -76,7 +74,7 @@ import numpy as np
 
 from .activation import PsiTable, eval_psi
 from .geometry import NeuronSet, sample_acg, unit_rows
-from .regression import RidgeModel, eval_model_gradient
+from .regression import RidgeModel, _row_blocks, eval_model_gradient
 
 logger = logging.getLogger(__name__)
 
@@ -344,6 +342,7 @@ def _sample_nonlocal(
     Ft = F.transpose(0, 2, 1).reshape(K * r, d)
     X = np.asfortranarray(ds.X)
     A = np.empty((n, d))
+    # fixed steps: near-equal _row_blocks move rows here (ROADMAP, "Considered and dropped")
     step = max(1, BLOCK_DOUBLES // (K * r))
     for lo in range(0, n, step):
         W = _mixing_weights(X[ks[lo : lo + step]], X, delta_w)
@@ -397,18 +396,13 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, A: np.ndarray, B: np.ndarr
     the module docstring).
     """
     G = _require_gradients(ds)
-    n = A.shape[0]
-    step = _density_block(ds)
-    out = np.empty(n)
-    lo = 0
-    while lo < n:
-        hi = lo + step if n - lo - step >= 2 else n
+    out = np.empty(A.shape[0])
+    for lo, hi in _row_blocks(A.shape[0], _density_block(ds)):
         Ab = A[lo:hi]
         vals = eval_psi(psi, Ab @ ds.X.T + B[lo:hi, None])
         terms = Ab @ G.T
         terms *= vals
         out[lo:hi] = np.abs(np.mean(terms, axis=1))
-        lo = hi
     return out
 
 
@@ -576,7 +570,4 @@ def draw(
 
 def export_weights_text(neurons: NeuronSet, path) -> None:
     """Write one neuron per line, ``a_1 ... a_d b``, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(neurons)):
-            row = np.append(neurons.a[i], neurons.b[i])
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+    np.savetxt(path, np.column_stack([neurons.a, neurons.b]), fmt="%.17g")

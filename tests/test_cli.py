@@ -28,6 +28,7 @@ from gradfeat.cli import (
     run_experiment,
     summarize,
     write_results_csv,
+    write_summary_csv,
 )
 
 
@@ -545,6 +546,23 @@ class TestSummarize:
         rows = run_experiment(cfg)
         assert len(summarize(rows)) == 2 * 2  # samplers x N values
 
+    def test_summary_csv_bytes(self, tmp_path):
+        # the median of {0.226, 0.888} is 0.557 to the last bit, and a group
+        # without an ok cell has blank statistics
+        cells = [("uniform", 0.888, "ok"), ("uniform", None, "zero-trace"),
+                 ("uniform", 0.226, "ok"), ("integral-density", None, "acceptance-collapse"),
+                 ("integral-density", None, "acceptance-collapse")]
+        rows = [{"benchmark": "gauss1d", "sampler": sampler, "N": 10, "replicate": i,
+                 "test_rmse": err, "status": status}
+                for i, (sampler, err, status) in enumerate(cells)]
+        path = tmp_path / "summary.csv"
+        write_summary_csv(summarize(rows), path)
+        assert path.read_bytes() == (
+            b"benchmark,sampler,N,n_ok,n_cells,median_test_rmse,q1_test_rmse,q3_test_rmse\n"
+            b"gauss1d,integral-density,10,0,2,,,\n"
+            b"gauss1d,uniform,10,2,3,0.55700000000000005,0.39150000000000001,0.72250000000000003\n"
+        )
+
 
 class TestMain:
     def test_run_and_summarize_roundtrip(self, tmp_path, capsys):
@@ -579,6 +597,47 @@ class TestMain:
         )
         rows = read_results_csv(out2 / "results.csv")
         assert len(rows) == 2
+
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # the output directory is made before the grid, so no cell runs in vain
+        out = tmp_path / "out"
+        out.write_text("")
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("grid ran"))
+        assert main(["run", str(small_config(tmp_path))]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot write {out}: ")
+
+    def test_summarize_into_missing_dir(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        write_results_csv([], results)
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["summarize", str(results), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: cannot write {out}: ")
+
+    def test_export_weights_into_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        argv = ["export-weights", str(small_config(tmp_path)), "--sampler", "uniform", "--n", "5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_committed_config_runs(self, tmp_path, path):
+        # every shipped config, every sampler kind in it, end to end at a small K
+        argv = ["run", str(path), "--K", "300", "--replicates", "1", "--test_size", "200",
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 0
+        rows = read_results_csv(tmp_path / "results.csv")
+        cfg = load_config(path)
+        labels = [parse_sampler_entry(e, cfg).label for e in cfg.samplers]
+        assert all(r["status"] == "ok" for r in rows)
+        assert sorted((r["sampler"], r["N"]) for r in rows) == sorted(
+            (label, n) for label in labels for n in cfg.n_grid
+        )
 
     def test_config_error_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="not-a-benchmark")

@@ -352,8 +352,8 @@ class TestRowBlocks:
         p = {"none": 0, "constant": 1, "affine": d + 1}[poly]
         phi = np.hstack([rng.standard_normal((K, N)), _poly_block(rng.uniform(-0.5, 0.5, (K, d)), p)])
         y = rng.standard_normal(K)
+        assert len(regression._row_blocks(K, 50)) == -(-K // 50)
         with mock.patch.object(regression, "ROW_BLOCK", 50):
-            assert len(regression._row_blocks(K)) == -(-K // 50)
             coefs, sse = _ridge_path(phi, y, DEFAULT_ALPHA_GRID, p)
         ref, ref_sse = single_qr_path(phi, y, DEFAULT_ALPHA_GRID, p)
         if K <= 50:
@@ -364,12 +364,27 @@ class TestRowBlocks:
             assert np.all(err <= 1e-10 * np.linalg.norm(ref, axis=0))
             assert np.all(np.abs(sse - ref_sse) <= 1e-10 * (y @ y))
 
-    def test_row_blocks_near_equal(self, monkeypatch):
-        monkeypatch.setattr(regression, "ROW_BLOCK", 50)
-        assert regression._row_blocks(0) == [(0, 0)]
-        assert regression._row_blocks(50) == [(0, 50)]
-        assert regression._row_blocks(51) == [(0, 25), (25, 51)]
-        assert regression._row_blocks(101) == [(0, 33), (33, 67), (67, 101)]
+    def test_row_blocks_near_equal(self):
+        assert regression._row_blocks(0, 50) == [(0, 0)]
+        assert regression._row_blocks(50, 50) == [(0, 50)]
+        assert regression._row_blocks(51, 50) == [(0, 25), (25, 51)]
+        assert regression._row_blocks(101, 50) == [(0, 33), (33, 67), (67, 101)]
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 400), size=st.integers(2, 60))
+    def test_row_blocks_partition(self, n, size):
+        blocks = regression._row_blocks(n, size)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        heights = [hi - lo for lo, hi in blocks]
+        assert max(heights) - min(heights) <= 1
+        if n >= 2:
+            assert min(heights) >= 2
+        if size >= 3:
+            assert max(heights) <= size
+        k = -(-n // size)
+        if n >= 1 and n // k >= 2:  # ceil(n / size) near-equal blocks hold 2 rows or more
+            assert len(blocks) == k
 
     def test_nan_in_last_block_raises(self, monkeypatch):
         monkeypatch.setattr(regression, "ROW_BLOCK", 50)
@@ -408,7 +423,7 @@ class TestRowBlocks:
         ds, neurons = cube_problem(rng, 5000, N, d)
         model = RidgeModel(neurons, rng.standard_normal(N),
                            rng.standard_normal(poly_width(act, d)), act)
-        assert len(regression._row_blocks(5000)) == 2
+        assert len(regression._row_blocks(5000, regression.ROW_BLOCK)) == 2
         with _blas.one_thread():
             whole = feature_matrix(ds.X, neurons, act) @ np.concatenate([model.c, model.poly])
             blocked = eval_model(model, ds.X)

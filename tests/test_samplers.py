@@ -572,9 +572,8 @@ class TestIntegralDensity:
 
     @pytest.mark.parametrize("block_doubles", [1, 3 * 1000, 32 * 1000])
     def test_row_blocks_match_one_product(self, monkeypatch, block_doubles):
-        # 301 rows in 2-row blocks (the floor), in 3-row blocks whose lone last
-        # row joins the block before it, and in 32-row blocks with a ragged
-        # 13-row last block
+        # 301 rows in 150 blocks of 2 and 3 rows (the 2-row floor), in 101
+        # blocks of 2 and 3 rows, and in 10 blocks of 30 and 31 rows
         train, _, _ = generate_dataset(
             make_benchmark("planar_wave", 2), 1000, rng=np.random.default_rng(31), test_size=10
         )
@@ -940,6 +939,16 @@ def test_export_weights_roundtrip(tmp_path):
     assert rows.shape == (40, 3)
     assert np.array_equal(rows[:, :2], ns.a)  # 17 digits round-trips float64
     assert np.array_equal(rows[:, 2], ns.b)
+
+
+def test_export_weights_bytes(tmp_path):
+    # 17 significant digits, as format(v, ".17g") writes them, also for the
+    # signed zero, the smallest subnormal, the largest magnitudes and non-finites
+    values = np.array([[-0.0, 5e-324, 1e308], [np.nan, np.inf, -np.inf], [0.1, -1.0, 1.0 / 3.0]])
+    path = tmp_path / "weights.txt"
+    export_weights_text(NeuronSet(values[:, :2], values[:, 2]), path)
+    expected = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in values)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_d1_reconstruction_identity():
