@@ -9,8 +9,8 @@ The weight kernels ``psi_{m,delta}`` aggregate data around a hyperplane in the
 offset variable.  They are built by spectral filtering of the bump: Fourier
 multiplier ``|xi|^(d-1) * (i xi)^m * (-1)^m``, scaled by
 ``c_d = 1 / (2 (2 pi)^(d-1))``.  The multiplier enforces vanishing moments of
-order ``k < d + m - 1``; the moment at ``k = d + m - 1`` is recorded on the
-table (it is zero by parity when ``d`` is even).
+order ``k < d + m - 1``; the moment at ``k = d + m - 1`` is the first that
+can survive (it is zero by parity when ``d`` is even).
 """
 
 from __future__ import annotations
@@ -111,10 +111,8 @@ class PsiTable:
     len(values) - 1``, then ``T`` itself, the bits of ``np.linspace(-T, T, n +
     1)``.  ``build_psi_table`` uses spacing ``h <= delta/16``, and its values
     carry the exact parity ``(-1)^m`` of the spectral construction (enforced
-    by symmetrization, so antipodal identities hold to round-off).
-    ``top_moment`` is the measured moment of order ``m + d - 1``, the first
-    one the multiplier does not force to vanish.  Tables hash by identity,
-    so a table can key what a dataset keeps for it.
+    by symmetrization, so antipodal identities hold to round-off).  Tables
+    hash by identity, so a table can key what a dataset keeps for it.
 
     ``slope`` holds the per-interval slopes ``diff(values) / diff(grid)``
     (the formula ``np.interp`` uses), computed once here, followed by
@@ -142,19 +140,6 @@ class PsiTable:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "slope", np.append(np.diff(values) / np.diff(grid), -0.0))
-
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    @property
-    def top_moment(self) -> float:
-        return psi_moment(self, self.m + self.d - 1)
-
-
-def psi_moment(table: PsiTable, k: int) -> float:
-    """Trapezoid estimate of ``int psi(b) b^k db`` over the table support."""
-    return float(np.trapezoid(table.values * table.grid**k, dx=table.spacing))
 
 
 def build_psi_table(m: int, d: int, delta: float, T: float) -> PsiTable:

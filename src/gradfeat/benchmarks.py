@@ -351,16 +351,23 @@ def _fd_hessian_from_grad(bench: Benchmark) -> Callable[[np.ndarray], np.ndarray
     return hess
 
 
-def make_benchmark(name: str, d: int | None = None) -> Benchmark:
-    """Look up a benchmark; the analytic gradient is FD-validated on construction."""
-    if name not in _FACTORIES:
+def benchmark_dim(name: str, d: int | None = None) -> int:
+    """``d``, or the first dimension benchmark ``name`` supports when ``d`` is
+    None; :class:`UnknownBenchmarkError` for an unknown name or dimension."""
+    dims = supported_benchmarks().get(name)
+    if dims is None:
         raise UnknownBenchmarkError(f"unknown benchmark {name!r}; see list-benchmarks")
-    dims, factory = _FACTORIES[name]
     if d is None:
-        d = dims[0]
+        return dims[0]
     if d not in dims:
         raise UnknownBenchmarkError(f"benchmark {name!r} supports d in {dims}, got {d}")
-    bench = factory(d)
+    return d
+
+
+def make_benchmark(name: str, d: int | None = None) -> Benchmark:
+    """Look up a benchmark; the analytic gradient is FD-validated on construction."""
+    d = benchmark_dim(name, d)
+    bench = _FACTORIES[name][1](d)
     _fd_gradient_check(bench)
     return bench
 
@@ -369,8 +376,8 @@ def make_benchmark(name: str, d: int | None = None) -> Benchmark:
 # dataset generation
 # ---------------------------------------------------------------------------
 
-def _grid_points(box: np.ndarray, K: int) -> np.ndarray:
-    d = box.shape[0]
+def grid_side(K: int, d: int) -> int:
+    """The ``m`` with ``m**d == K``; :class:`GridSizeError` when there is none."""
     m = round(K ** (1.0 / d))
     if m**d != K:
         below = m if m**d < K else m - 1
@@ -378,6 +385,11 @@ def _grid_points(box: np.ndarray, K: int) -> np.ndarray:
         raise GridSizeError(
             f"grid sampling in d={d} needs K = m**d points; K={K} is not, nearest {nearest}"
         )
+    return m
+
+
+def _grid_points(box: np.ndarray, K: int) -> np.ndarray:
+    m = grid_side(K, box.shape[0])
     axes = [np.linspace(lo, hi, m) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)

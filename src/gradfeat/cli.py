@@ -12,6 +12,7 @@ count or on ``workers`` where that library is found.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import threading
@@ -25,9 +26,9 @@ import numpy as np
 from . import _blas
 from .activation import ActivationSpec, GridResolutionError, make_psi_table
 from .benchmarks import (
-    GridSizeError,
-    UnknownBenchmarkError,
+    benchmark_dim,
     generate_dataset,
+    grid_side,
     make_benchmark,
     supported_benchmarks,
 )
@@ -80,6 +81,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment grid.  Building it decides whether it can run: every field, the
+    benchmark at ``d``, a grid ``K`` and the sampler entries, resolved into ``specs``
+    with distinct labels.  Each failure is a ConfigError."""
+
     benchmark: str
     d: int
     n_grid: list = field(default_factory=lambda: [25, 50, 100])
@@ -142,6 +147,16 @@ class ExperimentConfig:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not isinstance(self.samplers, list) or not self.samplers:
             raise ConfigError(f"samplers must be a nonempty list, got {self.samplers!r}")
+        try:
+            benchmark_dim(self.benchmark, self.d)
+            if self.sampling == "grid":
+                grid_side(self.K, self.d)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        self.specs = [parse_sampler_entry(e, self) for e in self.samplers]
+        labels = [s.label for s in self.specs]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"sampler labels collide: {labels}; use distinct kinds")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -240,6 +255,8 @@ def read_results_csv(path) -> list:
                     row[key] = int(row[key])
                 for key in ("alpha", "train_rmse", "val_rmse", "test_rmse", "accept_rate", "wall_ms"):
                     row[key] = float(row[key]) if row[key] else None
+                if row["status"] == "ok" and row["test_rmse"] is None:
+                    raise ValueError("an ok row has no test_rmse")
                 rows.append(row)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read results {path}: {exc}") from exc
@@ -319,30 +336,21 @@ def run_experiment(config: ExperimentConfig) -> list:
     core count and ``workers`` alone sets the parallelism.  The count is
     process-wide; it is restored when the last of the runs in flight returns.
     """
-    specs = [parse_sampler_entry(e, config) for e in config.samplers]
-    labels = [s.label for s in specs]
-    if len(set(labels)) != len(labels):
-        raise ConfigError("sampler labels collide; use distinct kinds")
     cells = sorted(
-        (
-            (label, spec, n, rep)
-            for label, spec in zip(labels, specs)
-            for n in config.n_grid
-            for rep in range(config.replicates)
-        ),
-        key=lambda cell: -cell[2],
+        itertools.product(config.specs, config.n_grid, range(config.replicates)),
+        key=lambda cell: -cell[1],
     )
     with _blas.one_thread():
-        master, psi_table, datasets = _prepare(config, specs, range(config.replicates))
+        master, psi_table, datasets = _prepare(config, config.specs, range(config.replicates))
 
         stop = threading.Event()  # a worker can take a cell before map cancels it
 
         def job(cell):
             if stop.is_set():
                 return None
-            label, spec, n, rep = cell
+            spec, n, rep = cell
             try:
-                return _run_cell(config, label, spec, datasets, n, rep, psi_table, master)
+                return _run_cell(config, spec.label, spec, datasets, n, rep, psi_table, master)
             except BaseException:
                 stop.set()
                 raise
@@ -554,7 +562,7 @@ def main(argv=None) -> int:
             for name, dims in supported_benchmarks().items():
                 print(f"{name}: d in {list(dims)}")
             return 0
-    except (ConfigError, UnknownBenchmarkError, GridSizeError, GridResolutionError) as exc:
+    except (ConfigError, GridResolutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the readers raise ConfigError, so a named path is an output

@@ -32,18 +32,11 @@ class NeuronSet:
         self.a = a
         self.b = b
 
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
     def __len__(self) -> int:
         return self.a.shape[0]
 
     def concat(self, other: "NeuronSet") -> "NeuronSet":
         return NeuronSet(np.vstack([self.a, other.a]), np.concatenate([self.b, other.b]))
-
-    def __repr__(self) -> str:
-        return f"NeuronSet(n={len(self)}, d={self.dim})"
 
 
 def unit_rows(draw: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:

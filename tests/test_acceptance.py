@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, kstest
 
-from gradfeat.activation import ActivationSpec, make_psi_table, psi_moment
+from gradfeat.activation import ActivationSpec, make_psi_table
 from gradfeat.cli import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -40,6 +40,7 @@ from gradfeat.samplers import (
     sample_local_gradient,
     sample_uniform,
 )
+from psi_moments import psi_moment, spacing, top_moment
 
 pytestmark = pytest.mark.acceptance
 
@@ -184,11 +185,11 @@ def test_criterion_05_psi_moment_suite():
                     for k in range(k_top):
                         tol = 1e-6 * peak * t.half_width ** (k + 1)
                         assert abs(psi_moment(t, k)) <= tol, (m, d, k)
-                m1, m2 = (t.top_moment for t in tables)
+                m1, m2 = (top_moment(t) for t in tables)
                 floors = [
                     1e-9
                     * np.trapezoid(
-                        np.abs(t.values) * np.abs(t.grid) ** k_top, dx=t.spacing
+                        np.abs(t.values) * np.abs(t.grid) ** k_top, dx=spacing(t)
                     )
                     for t in tables
                 ]

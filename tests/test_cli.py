@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -74,6 +76,42 @@ BAD_SAMPLER_ENTRIES = [
     ({"kind": "nonlocal-gradient", "delta_w": True}, "delta_w"),
     ({"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": True}}, "delta_w"),
 ]
+
+
+# Each holds one value that only the benchmark table, the grid-size rule or the
+# sampler entries can reject; the second member is what the error names.
+CONFIG_ERRORS_BEFORE_OUTPUT = [
+    ({"benchmark": "nope"}, "unknown benchmark 'nope'"),
+    ({"benchmark": "planar_wave", "d": 3}, "supports d in (2,), got 3"),
+    ({"benchmark": "planar_wave", "d": 2, "K": 1001}, "nearest [961, 1024]"),
+    ({"samplers": ["uniform", "uniform"]}, "labels collide"),
+    ({"samplers": ["uniform", {"kind": "uniform", "safety": 3}]}, "safety"),
+]
+
+# The CLI fuzz: a small valid grid with one field or one sampler entry replaced
+# by a random JSON value.  The leaves stay small, so that a grid the value
+# leaves valid stays tiny.  No integral-density entry: a delta that stops its
+# psi table from decaying is only found once the table is built.
+FUZZ_BASE = {
+    "benchmark": "checkmark",
+    "d": 3,
+    "K": 40,
+    "n_grid": [4, 8],
+    "replicates": 1,
+    "samplers": ["uniform", "nonlocal-gradient", {"kind": "residual", "base": "local-gradient"}],
+    "test_size": 20,
+}
+FUZZ_LEAVES = st.integers(-2, 64) | st.floats() | st.text(max_size=4) | st.booleans() | st.none()
+# a bare leaf as often as a nested value, or few values would leave a grid valid
+FUZZ_VALUES = FUZZ_LEAVES | st.recursive(
+    FUZZ_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+FUZZ_TARGETS = [f for f in ExperimentConfig.__dataclass_fields__ if f != "output_dir"]
+FUZZ_TARGETS += list(range(len(FUZZ_BASE["samplers"])))
 
 
 def strip_wall_ms(text: str) -> str:
@@ -199,8 +237,7 @@ class TestConfig:
         assert CONFIGS
         for path in CONFIGS:
             cfg = load_config(path)
-            for entry in cfg.samplers:
-                parse_sampler_entry(entry, cfg)
+            assert len(cfg.specs) == len(cfg.samplers)
 
     @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES)
     def test_sampler_entry_keys_checked(self, entry, key):
@@ -512,7 +549,7 @@ class TestResultsCsv:
                     **{c: st.none() | st.floats(allow_nan=False, allow_infinity=False)
                        for c in FLOAT_COLUMNS},
                 }
-            ),
+            ).filter(lambda row: row["status"] != "ok" or row["test_rmse"] is not None),
             max_size=8,
         )
     )
@@ -633,10 +670,9 @@ class TestMain:
         assert main(argv) == 0
         rows = read_results_csv(tmp_path / "results.csv")
         cfg = load_config(path)
-        labels = [parse_sampler_entry(e, cfg).label for e in cfg.samplers]
         assert all(r["status"] == "ok" for r in rows)
         assert sorted((r["sampler"], r["N"]) for r in rows) == sorted(
-            (label, n) for label in labels for n in cfg.n_grid
+            (spec.label, n) for spec in cfg.specs for n in cfg.n_grid
         )
 
     def test_config_error_exit_code(self, tmp_path):
@@ -685,8 +721,10 @@ class TestMain:
         "content, names",
         [(None, "No such file"), ("benchmark,sampler\ngauss1d,uniform\n", "'d'"),
          (",".join(CSV_COLUMNS) + "\ngauss1d,1,uniform\n", "3 fields"),
-         (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n", "'x'")],
-        ids=["missing", "no_d_column", "short_row", "bad_int"],
+         (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n", "'x'"),
+         (",".join(CSV_COLUMNS) + "\ngauss1d,1,uniform,8,0,0.1,0.2,0.3,,,1.5,ok\n",
+          "an ok row has no test_rmse")],
+        ids=["missing", "no_d_column", "short_row", "bad_int", "ok_without_test_rmse"],
     )
     def test_summarize_unreadable_results(self, tmp_path, capsys, content, names):
         path = tmp_path / "results.csv"
@@ -805,6 +843,43 @@ class TestMain:
     def test_grid_size_exit_code(self, tmp_path):
         config_path = small_config(tmp_path, benchmark="planar_wave", d=2, K=1000)
         assert main(["run", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "export-weights"])
+    @pytest.mark.parametrize(
+        "overrides, names",
+        CONFIG_ERRORS_BEFORE_OUTPUT,
+        ids=["unknown_benchmark", "unsupported_d", "grid_K", "colliding_labels", "bad_entry"],
+    )
+    def test_config_error_before_output_dir(self, tmp_path, capsys, command, overrides, names):
+        # the config decides all of these when it loads, so no directory is left behind
+        argv = [command, str(small_config(tmp_path, **overrides))]
+        if command == "export-weights":
+            argv += ["--sampler", "uniform", "--n", "5"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and names in err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
+    def test_fuzzed_config(self, target, value):
+        data = json.loads(json.dumps(FUZZ_BASE))
+        if isinstance(target, int):
+            data["samplers"][target] = value
+        else:
+            data[target] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(dict(data, output_dir=str(out))))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", str(path)])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.getvalue().count("\n") == 1
+                assert err.getvalue().startswith("config error: ")
+                assert not out.exists()
 
     def test_failed_cells_exit_code(self, tmp_path):
         config_path = small_config(
