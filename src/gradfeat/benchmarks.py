@@ -377,11 +377,18 @@ def make_benchmark(name: str, d: int | None = None) -> Benchmark:
 # ---------------------------------------------------------------------------
 
 def grid_side(K: int, d: int) -> int:
-    """The ``m`` with ``m**d == K``; :class:`GridSizeError` when there is none."""
-    m = round(K ** (1.0 / d))
+    """The ``m`` with ``m**d == K``; :class:`GridSizeError` when there is none.
+
+    The root is taken in integers (Newton's iteration from above, ending at
+    ``floor(K ** (1/d))``), so it is exact for every ``K``, past ``2**53``
+    too, and so are the nearest counts of the error.
+    """
+    K = int(K)
+    m = 1 << -(-K.bit_length() // d)  # 2**ceil(bits / d), above the root
+    while m > 0 and (step := ((d - 1) * m + K // m ** (d - 1)) // d) < m:
+        m = step
     if m**d != K:
-        below = m if m**d < K else m - 1
-        nearest = [c**d for c in (below, below + 1) if c >= 2]
+        nearest = [c**d for c in (m, m + 1) if c >= 2]
         raise GridSizeError(
             f"grid sampling in d={d} needs K = m**d points; K={K} is not, nearest {nearest}"
         )

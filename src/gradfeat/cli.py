@@ -74,6 +74,12 @@ _CELL_ERRORS = {
     AcceptanceCollapseError: "acceptance-collapse",
 }
 
+# The largest noise_sigma a config takes: the noisy targets then stay below
+# about 1e101 (a normal draw past 10 standard deviations has probability below
+# 1e-23), so their squares, summed over any array numpy can hold (fewer than
+# 2**63 entries), stay far below the largest double.
+MAX_NOISE_SIGMA = 1e100
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -143,12 +149,21 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         sigma = self.noise_sigma
-        if sigma is not None and not (_is_number(sigma) and 0.0 <= sigma < np.inf):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
+        if sigma is not None and not (_is_number(sigma) and 0.0 <= sigma <= MAX_NOISE_SIGMA):
+            raise ConfigError(
+                f"noise_sigma must be a number in [0, {MAX_NOISE_SIGMA:g}], got {self.noise_sigma!r}"
+            )
         if not isinstance(self.samplers, list) or not self.samplers:
             raise ConfigError(f"samplers must be a nonempty list, got {self.samplers!r}")
         try:
             benchmark_dim(self.benchmark, self.d)
+            points = np.iinfo(np.intp).max // (8 * self.d)  # rows of a float64 (n, d) array
+            for name in ("K", "test_size"):
+                if getattr(self, name) > points:
+                    raise ConfigError(
+                        f"{name} must be at most {points}, the most d={self.d} points a numpy "
+                        f"array can hold, got {getattr(self, name)}"
+                    )
             if self.sampling == "grid":
                 grid_side(self.K, self.d)
         except ValueError as exc:

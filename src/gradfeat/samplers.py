@@ -44,9 +44,11 @@ nor the column layout changes the arithmetic, so the draws are bit for bit
 those of computing everything per draw.
 
 The integral density evaluates its proposals against the K data points in
-``regression._row_blocks`` of ``BLOCK_DOUBLES // K`` rows, at least 2.  Each
-row's mean is reduced on its own, so the blocks give the bits of one n x K
-evaluation.
+``regression._row_blocks`` of ``BLOCK_DOUBLES // K`` rows, at least 2.  A
+block's pre-activations ``a.x_k + b`` are built in place, by adding the
+offsets into the array of the product ``A X^T``, the bits of the sum
+``A X^T + b``.  Each row's mean is reduced on its own, so the blocks give the
+bits of one n x K evaluation.
 
 The integral-density sampler's rejection envelope is ``SAFETY`` (1.5) times
 the density maximum over a fixed pilot design: ``PILOT_SIZE`` uniform
@@ -399,7 +401,9 @@ def eval_integral_density(ds: DataSet, psi: PsiTable, A: np.ndarray, B: np.ndarr
     out = np.empty(A.shape[0])
     for lo, hi in _row_blocks(A.shape[0], _density_block(ds)):
         Ab = A[lo:hi]
-        vals = eval_psi(psi, Ab @ ds.X.T + B[lo:hi, None])
+        t = Ab @ ds.X.T
+        t += B[lo:hi, None]
+        vals = eval_psi(psi, t)
         terms = Ab @ G.T
         terms *= vals
         out[lo:hi] = np.abs(np.mean(terms, axis=1))

@@ -271,24 +271,65 @@ def psi_arguments(draw):
     return table, draw(st.permutations(t))
 
 
+def in_range(case):
+    """Only the entries in ``[-T, T]``: the lookup that skips the clip and the mask."""
+    table, t = case
+    t = np.asarray(t, dtype=float)
+    T = table.half_width
+    return table, t[(-T <= t) & (t <= T)]
+
+
+def assert_matches_interp(table, t):
+    """``eval_psi`` against ``np.interp`` bit for bit, on ``t`` as a 2-row
+    array and on single entries."""
+    t = np.asarray(t, dtype=float)
+    if t.size % 2:
+        t = np.append(t, t[0])
+    t = t.reshape(2, -1)
+    ref = np.interp(t, table.grid, table.values, left=0.0, right=0.0)
+    # a subnormal t near a zero node makes a subnormal product, np.interp's
+    # bits too: underflow is no error, invalid, overflow and divide are
+    with np.errstate(all="raise", under="ignore"):
+        got = eval_psi(table, t)
+    assert got.shape == t.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    for x, r in zip(t[0, :5], ref[0, :5]):
+        one = eval_psi(table, np.float64(x))
+        assert one.shape == ()
+        assert one.view(np.int64) == r.view(np.int64)
+
+
 class TestEvalPsiProperties:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(psi_arguments())
     def test_matches_interp_bit_for_bit(self, case):
-        table, t = case
-        t = np.asarray(t, dtype=float)
-        if t.size % 2:
-            t = np.append(t, t[0])
-        t = t.reshape(2, -1)
-        ref = np.interp(t, table.grid, table.values, left=0.0, right=0.0)
-        with np.errstate(all="raise"):
-            got = eval_psi(table, t)
-        assert got.shape == t.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-        for x, r in zip(t[0, :5], ref[0, :5]):
-            one = eval_psi(table, np.float64(x))
-            assert one.shape == ()
-            assert one.view(np.int64) == r.view(np.int64)
+        assert_matches_interp(*case)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(psi_arguments().map(in_range))
+    def test_matches_interp_bit_for_bit_in_range(self, case):
+        assert_matches_interp(*case)
+
+    def test_matches_interp_at_nodes_of_the_largest_table(self):
+        # as many intervals as the largest table make_psi_table builds, on a
+        # half-width whose spacing and nodes are rounded: at, next to and
+        # within a few 1e-6 spacings of every 1,000th node, where the lookup
+        # trusts floor() only past 1e-6 of a node
+        n = MAX_TABLE_POINTS
+        values = np.random.default_rng(0).standard_normal(n + 1)
+        table = PsiTable(m=0, d=1, delta=1.0, half_width=np.pi, values=values)
+        grid = table.grid
+        nodes = grid[np.append(np.arange(0, n + 1, 1000), n)]
+        h = 2.0 * np.pi / n
+        t = np.concatenate(
+            [
+                nodes,
+                np.nextafter(nodes, np.inf),
+                np.nextafter(nodes, -np.inf),
+                *(nodes + k * h for k in (-2e-6, -1e-6, -5e-7, 5e-7, 1e-6, 2e-6)),
+            ]
+        )
+        assert_matches_interp(*in_range((table, t)))
 
 
 TINY = 2.2250738585072014e-308  # smallest normal double

@@ -8,6 +8,7 @@ from gradfeat.benchmarks import (
     GridSizeError,
     UnknownBenchmarkError,
     generate_dataset,
+    grid_side,
     huber,
     huber_prime,
     make_benchmark,
@@ -170,6 +171,36 @@ class TestGenerateDataset:
             bench, 1024, "grid", rng=np.random.default_rng(3), test_size=10
         )
         assert train.n_points == val.n_points == 1024
+
+    @pytest.mark.parametrize(
+        "K, d, m",
+        [
+            (2**53 + 1, 1, 2**53 + 1),  # a float root rounds this to 2**53
+            (10**26, 1, 10**26),
+            ((2**53 + 1) ** 2, 2, 2**53 + 1),
+            (3**40, 20, 9),
+            (10**400, 2, 10**200),  # past the largest double
+        ],
+        ids=["1d_past_2_53", "1d_1e26", "2d_root_past_2_53", "20d", "past_float_range"],
+    )
+    def test_grid_side_exact_past_2_53(self, K, d, m):
+        assert grid_side(K, d) == m
+
+    def test_grid_side_nearest_counts_past_2_53(self):
+        m = 2**53 + 1
+        nearest = rf"\[{m**2}, {(m + 1) ** 2}\]"
+        with pytest.raises(GridSizeError, match=nearest):
+            grid_side(m**2 + 1, 2)
+        with pytest.raises(GridSizeError, match=rf"\[{(m - 1) ** 2}, {m**2}\]"):
+            grid_side(m**2 - 1, 2)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 10**6), st.integers(1, 6))
+    def test_grid_side_is_the_exact_root(self, m, d):
+        assert grid_side(m**d, d) == m
+        if d > 1:
+            with pytest.raises(GridSizeError, match=rf"\[{m**d}, {(m + 1) ** d}\]"):
+                grid_side(m**d + 1, d)
 
     def test_noise_free_targets(self):
         bench = make_benchmark("planar_wave")

@@ -86,6 +86,10 @@ CONFIG_ERRORS_BEFORE_OUTPUT = [
     ({"benchmark": "planar_wave", "d": 2, "K": 1001}, "nearest [961, 1024]"),
     ({"samplers": ["uniform", "uniform"]}, "labels collide"),
     ({"samplers": ["uniform", {"kind": "uniform", "safety": 3}]}, "safety"),
+    ({"sampling": "uniform-random", "K": 10**26}, "K must be at most 1152921504606846975"),
+    ({"sampling": "grid", "K": 10**26}, "K must be at most 1152921504606846975"),
+    ({"test_size": 10**26}, "test_size must be at most 1152921504606846975"),
+    ({"noise_sigma": 1e300}, "noise_sigma must be a number in [0, 1e+100]"),
 ]
 
 # The CLI fuzz: a small valid grid with one field or one sampler entry replaced
@@ -848,7 +852,8 @@ class TestMain:
     @pytest.mark.parametrize(
         "overrides, names",
         CONFIG_ERRORS_BEFORE_OUTPUT,
-        ids=["unknown_benchmark", "unsupported_d", "grid_K", "colliding_labels", "bad_entry"],
+        ids=["unknown_benchmark", "unsupported_d", "grid_K", "colliding_labels", "bad_entry",
+             "K_past_numpy", "grid_K_past_numpy", "test_size_past_numpy", "noise_sigma_past_bound"],
     )
     def test_config_error_before_output_dir(self, tmp_path, capsys, command, overrides, names):
         # the config decides all of these when it loads, so no directory is left behind
@@ -859,6 +864,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and names in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, flags, names",
+        [
+            ("gauss1d", ["--sampling", "uniform-random", "--K", str(10**26)], "K must be at most"),
+            ("checkmark3", ["--K", "40", "--noise_sigma", "1e300"], "noise_sigma must be"),
+            ("checkmark3", ["--K", "40", "--noise_sigma", "1e300",
+                            "--samplers", '["uniform", "local-gradient"]'], "noise_sigma must be"),
+        ],
+        ids=["huge_K", "huge_noise", "huge_noise_two_samplers"],
+    )
+    def test_huge_size_or_noise_on_shipped_config(self, tmp_path, capsys, config, flags, names):
+        # each once made a directory, then a traceback or rows of infinite errors
+        path = CONFIGS[[p.stem for p in CONFIGS].index(config)]
+        out = tmp_path / "out"
+        argv = ["run", str(path), "--replicates", "1", "--output_dir", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and names in err
+        assert not out.exists()
+
+    def test_noise_sigma_at_its_bound_gives_finite_rows(self, tmp_path):
+        # every sampler kind of the checkmark grid, residual fits included, on
+        # targets of order 1e100: the squares of the errors stay finite
+        path = CONFIGS[[p.stem for p in CONFIGS].index("checkmark3")]
+        argv = ["run", str(path), "--K", "40", "--replicates", "1", "--n_grid", "[25]",
+                "--test_size", "40", "--noise_sigma", str(cli.MAX_NOISE_SIGMA),
+                "--output_dir", str(tmp_path)]
+        assert main(argv) == 0
+        rows = read_results_csv(tmp_path / "results.csv")
+        assert len(rows) == 5 and all(r["status"] == "ok" for r in rows)
+        for r in rows:
+            assert all(np.isfinite(r[c]) for c in ("alpha", "train_rmse", "val_rmse", "test_rmse"))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
