@@ -18,7 +18,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,11 +199,11 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     ``kind`` and any of the fields that kind reads (``KIND_FIELDS``).
 
     A field the entry leaves out takes its default: ``delta_w`` twice the
-    activation's ``delta``, ``order_m`` its ``s - 1`` and ``base``
-    ``"local-gradient"``.  A ``base`` is itself an entry.  Any other
-    key, even one set to its default, an ``order_m`` other than ``s - 1``,
-    ``integral-density`` with activation ``delta`` 0 and a bool where a
-    number belongs are config errors.
+    activation's ``delta`` and ``base`` ``"local-gradient"``.  A ``base`` is
+    itself an entry.  The psi table sets the order, so ``order_m`` is checked,
+    not stored.  Any other key, even one at its default, an ``order_m`` other
+    than the integer ``s - 1``, ``integral-density`` with activation ``delta``
+    0 and a bool where a number belongs are config errors.
     """
     if isinstance(entry, str):
         entry = {"kind": entry}
@@ -216,11 +216,12 @@ def parse_sampler_entry(entry, config: ExperimentConfig) -> SamplerSpec:
     extra = sorted(set(entry) - {"kind", *reads})
     if extra:
         raise ConfigError(f"sampler {kind!r} takes only {list(reads)}, got {extra}")
-    defaults = {"delta_w": 2.0 * config.delta, "order_m": config.s - 1, "base": "local-gradient"}
+    defaults = {"delta_w": 2.0 * config.delta, "base": "local-gradient"}
     fields = {f: defaults[f] for f in reads if f in defaults}
     fields.update((k, v) for k, v in entry.items() if k != "kind")
-    if "order_m" in fields and fields["order_m"] != config.s - 1:
-        raise ConfigError(f"integral-density order_m must be s - 1 = {config.s - 1}")
+    order = fields.pop("order_m", config.s - 1)
+    if not _is_int(order) or order != config.s - 1:
+        raise ConfigError(f"integral-density order_m must be the integer s - 1 = {config.s - 1}")
     if kind == "integral-density" and config.delta == 0.0:
         raise ConfigError("integral-density needs activation delta > 0, got 0")
     if "base" in fields:
@@ -278,18 +279,16 @@ def read_results_csv(path) -> list:
     return rows
 
 
-def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
-    """What the cells of a run share, keyed as ``run_experiment`` keys it.
-
-    Returns the master stream, the psi table (``None`` unless an
-    integral-density sampler needs one) and, per replicate, the 3-tuple
-    ``(train, test, fit)``: the datasets and the cross-validated fit on
-    (train, val), ``neurons -> (model, report)``.  The training set keeps the
-    nonlocal source-point weights that its first nonlocal draw computes.
+def _prepare(config: ExperimentConfig, reps) -> dict:
+    """Per replicate of ``reps``, the 4-tuple ``(train, test, fit, draw_cell)``:
+    the datasets, the cross-validated fit on (train, val), ``neurons -> (model,
+    report)``, and ``draw_cell(spec, n)``, which draws cell ``(spec.label, n,
+    rep)`` from its own stream, with the run's psi table.  The training set
+    keeps the nonlocal source-point weights that its first nonlocal draw computes.
     """
     bench = make_benchmark(config.benchmark, config.d)
     master = RngStream(config.master_seed)
-    with_hessians = any(s.kind == "nonlocal-hessian" for s in specs)
+    kinds = {s.kind for s in config.specs}
 
     def replicate(rep):
         train, val, test = generate_dataset(
@@ -299,35 +298,33 @@ def _prepare(config: ExperimentConfig, specs: list, reps) -> tuple:
             noise_sigma=config.noise_sigma,
             rng=master.child("dataset", config.benchmark, rep).generator(),
             test_size=config.test_size,
-            with_hessians=with_hessians,
+            with_hessians="nonlocal-hessian" in kinds,
         )
 
         def fit(neurons):
             return cross_validate(train, val, neurons, config.activation, config.alpha_grid)
 
-        return train, test, fit
+        def draw_cell(spec, n):
+            rng = master.child("cell", config.benchmark, spec.label, n, rep).generator()
+            return draw(spec, train, n, rng, psi_table=psi_table,
+                        fit_callback=lambda nn: fit(nn)[0])
+
+        return train, test, fit, draw_cell
 
     datasets = {rep: replicate(rep) for rep in reps}
     psi_table = None
-    if any(s.kind == "integral-density" for s in specs):
+    if "integral-density" in kinds:
         psi_table = make_psi_table(config.s - 1, config.d, config.delta, radius=1.0)
-    return master, psi_table, datasets
+    return datasets
 
 
-def _draw_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream):
-    """The neurons of cell (label, n, rep), drawn from the cell's own stream."""
-    train, _, fit = datasets[rep]
-    rng = master.child("cell", config.benchmark, label, n, rep).generator()
-    return draw(spec, train, n, rng, psi_table=psi_table, fit_callback=lambda nn: fit(nn)[0])
-
-
-def _run_cell(config, label, spec, datasets, n, rep, psi_table, master: RngStream) -> dict:
+def _run_cell(config, label, spec, datasets, n, rep) -> dict:
     row = dict(dict.fromkeys(CSV_COLUMNS), benchmark=config.benchmark, d=config.d,
                sampler=label, N=n, replicate=rep, status="ok")
-    _, test, fit = datasets[rep]
+    _, test, fit, draw_cell = datasets[rep]
     t0 = time.perf_counter()
     try:
-        neurons, accept_rate = _draw_cell(config, label, spec, datasets, n, rep, psi_table, master)
+        neurons, accept_rate = draw_cell(spec, n)
         model, report = fit(neurons)
         row["alpha"] = report.alpha
         row["train_rmse"] = float(report.train_rmse[report.chosen_index])
@@ -356,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> list:
         key=lambda cell: -cell[1],
     )
     with _blas.one_thread():
-        master, psi_table, datasets = _prepare(config, config.specs, range(config.replicates))
+        datasets = _prepare(config, range(config.replicates))
 
         stop = threading.Event()  # a worker can take a cell before map cancels it
 
@@ -365,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> list:
                 return None
             spec, n, rep = cell
             try:
-                return _run_cell(config, spec.label, spec, datasets, n, rep, psi_table, master)
+                return _run_cell(config, spec.label, spec, datasets, n, rep)
             except BaseException:
                 stop.set()
                 raise
@@ -452,17 +449,19 @@ def write_convergence_svg(summary: list, path) -> bool:
 
 
 def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path:
-    """Write the neurons that replicate ``seed`` of a run draws for ``sampler`` at N=n."""
+    """Write the neurons that replicate ``seed`` of a run draws for ``sampler`` at N=n;
+    a draw raises the ``_CELL_ERRORS`` that a run's cell records."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    spec = parse_sampler_entry(sampler, config)
+    config = replace(config, samplers=[sampler])
+    (spec,) = config.specs
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)  # before the draw, which it could waste
     with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
-        master, psi_table, datasets = _prepare(config, [spec], [seed])
-        neurons, _ = _draw_cell(config, spec.label, spec, datasets, n, seed, psi_table, master)
+        *_, draw_cell = _prepare(config, [seed])[seed]
+        neurons, _ = draw_cell(spec, n)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"
     export_weights_text(neurons, path)
     return path
@@ -570,14 +569,18 @@ def main(argv=None) -> int:
             return 0
         if args.command == "export-weights":
             config = load_config(args.config, args)
-            path = export_weights(config, args.sampler, args.n, args.seed)
+            try:
+                path = export_weights(config, args.sampler, args.n, args.seed)
+            except tuple(_CELL_ERRORS) as exc:  # what run records as a failed cell
+                print(f"draw failed: {_CELL_ERRORS[type(exc)]}: {exc}", file=sys.stderr)
+                return 2
             print(f"wrote {path}")
             return 0
         if args.command == "list-benchmarks":
             for name, dims in supported_benchmarks().items():
                 print(f"{name}: d in {list(dims)}")
             return 0
-    except (ConfigError, GridResolutionError) as exc:
+    except (ConfigError, GridResolutionError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # the readers raise ConfigError, so a named path is an output

@@ -86,8 +86,9 @@ PILOT_SIZE = 2500  # uniform proposals that calibrate the envelope; sized in the
 PILOT_SEED = 2410_02132  # seeds that fixed pilot design, the same for every dataset
 SAFETY = 1.5  # the envelope over the pilot maximum
 RESIDUAL_N0 = 8  # neurons in the first residual stage; each later stage doubles
-# The spec fields each sampler kind reads, in the order its sampler takes
-# them; config parsing, validation and dispatch all read this table.
+# The keys a config entry of each kind may carry besides ``kind``: the spec fields, in
+# the order its sampler takes them, and ``order_m``, which the parser checks and drops.
+# Config parsing, validation and dispatch all read this table.
 KIND_FIELDS = {
     "uniform": (),
     "active-subspace": (),
@@ -160,10 +161,6 @@ class DataSet:
             object.__setattr__(self, "H", H)
 
     @property
-    def n_points(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.X.shape[1]
 
@@ -193,7 +190,6 @@ class SamplerSpec:
 
     kind: str
     delta_w: float | None = None
-    order_m: int = 0
     base: "SamplerSpec | None" = None
 
     def __post_init__(self) -> None:
@@ -202,8 +198,6 @@ class SamplerSpec:
         fields = KIND_FIELDS[self.kind]
         if "delta_w" in fields and not _is_positive(self.delta_w):
             raise ValueError(f"{self.kind} needs a finite delta_w > 0, got {self.delta_w!r}")
-        if "order_m" in fields and not _is_int(self.order_m):
-            raise ValueError(f"order_m must be an integer, got {self.order_m!r}")
         if "base" in fields and (
             self.base is None or self.base.kind not in ("local-gradient", "nonlocal-gradient")
         ):
@@ -384,7 +378,7 @@ def sample_nonlocal(
 
 def _density_block(ds: DataSet) -> int:
     """Rows of proposals per block of the integral density (module docstring)."""
-    return max(2, BLOCK_DOUBLES // ds.n_points)
+    return max(2, BLOCK_DOUBLES // len(ds.X))
 
 
 def eval_integral_density(ds: DataSet, psi: PsiTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -552,18 +546,14 @@ def draw(
     psi_table: PsiTable | None = None,
     fit_callback: Callable[[NeuronSet], RidgeModel] | None = None,
 ) -> tuple[NeuronSet, float | None]:
-    """Run the strategy described by ``spec``; returns the neurons and the
-    realized acceptance rate, which only ``integral-density`` has (``None``
-    for every other kind)."""
+    """Run the strategy described by ``spec`` (the integral density at the order
+    of ``psi_table``); returns the neurons and the realized acceptance rate,
+    which only ``integral-density`` has (``None`` for every other kind)."""
     if n < 1:
         raise ValueError("need at least one neuron")
     if spec.kind == "integral-density":
         if psi_table is None:
             raise ValueError("integral-density sampling needs a psi table")
-        if psi_table.m != spec.order_m:
-            raise ValueError(
-                f"psi table order {psi_table.m} does not match sampler order {spec.order_m}"
-            )
         return sample_integral_density(ds, psi_table, n, rng)
     if spec.kind == "residual":
         if fit_callback is None:

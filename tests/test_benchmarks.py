@@ -170,7 +170,7 @@ class TestGenerateDataset:
         train, val, _ = generate_dataset(
             bench, 1024, "grid", rng=np.random.default_rng(3), test_size=10
         )
-        assert train.n_points == val.n_points == 1024
+        assert len(train.X) == len(val.X) == 1024
 
     @pytest.mark.parametrize(
         "K, d, m",
@@ -209,7 +209,7 @@ class TestGenerateDataset:
         # identity standardization for the side-sqrt(2) box
         assert np.allclose(train.y, bench.f(train.X))
         assert np.allclose(test.y, bench.f(test.X))
-        assert test.n_points == 30
+        assert len(test.X) == 30
 
     def test_noise_on_train_and_val_only(self):
         bench = make_benchmark("gauss1d")

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from gradfeat.cli import (
     write_results_csv,
     write_summary_csv,
 )
+from gradfeat.samplers import SamplerSpec
 
 
 def small_config(tmp_path, **overrides):
@@ -75,6 +77,10 @@ BAD_SAMPLER_ENTRIES = [
     ({"kind": "integral-density", "order_m": True}, "order_m"),  # True == s - 1 at s=2
     ({"kind": "nonlocal-gradient", "delta_w": True}, "delta_w"),
     ({"kind": "residual", "base": {"kind": "nonlocal-gradient", "delta_w": True}}, "delta_w"),
+]
+# Entries that no JSON config can hold, so only the parser test takes them.
+BAD_PARSED_ENTRIES = [
+    ({"kind": "integral-density", "order_m": Fraction(1, 1)}, "order_m"),  # == s - 1 at s=2
 ]
 
 
@@ -243,7 +249,7 @@ class TestConfig:
             cfg = load_config(path)
             assert len(cfg.specs) == len(cfg.samplers)
 
-    @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES)
+    @pytest.mark.parametrize("entry, key", BAD_SAMPLER_ENTRIES + BAD_PARSED_ENTRIES)
     def test_sampler_entry_keys_checked(self, entry, key):
         cfg = ExperimentConfig(benchmark="planar_wave", d=2, n_grid=[5], s=2)
         with pytest.raises(ConfigError, match=key):
@@ -265,9 +271,12 @@ class TestConfig:
         assert parse_sampler_entry("residual", cfg).base.kind == "local-gradient"
 
     def test_integral_density_order_from_activation(self):
+        # the psi table sets the order, so an order_m of s - 1 is checked and dropped
         cfg = ExperimentConfig(benchmark="planar_wave", d=2, n_grid=[5], s=2)
-        assert parse_sampler_entry("integral-density", cfg).order_m == 1
-        assert parse_sampler_entry({"kind": "integral-density", "order_m": 1}, cfg).order_m == 1
+        spec = parse_sampler_entry("integral-density", cfg)
+        assert spec == SamplerSpec(kind="integral-density")
+        for order in (1, np.int64(1)):
+            assert parse_sampler_entry({"kind": "integral-density", "order_m": order}, cfg) == spec
 
     def test_sampler_entries(self):
         cfg = ExperimentConfig(benchmark="gauss1d", d=1, n_grid=[5])
@@ -334,9 +343,9 @@ class TestRunExperiment:
         calls = []
         real = cli._run_cell
 
-        def recorded(config, label, spec, datasets, n, rep, *args):
+        def recorded(config, label, spec, datasets, n, rep):
             calls.append((label, n, rep))
-            return real(config, label, spec, datasets, n, rep, *args)
+            return real(config, label, spec, datasets, n, rep)
 
         monkeypatch.setattr(cli, "_run_cell", recorded)
         rows = run_experiment(load_config(small_config(tmp_path, n_grid=[8, 16, 24])))
@@ -885,6 +894,16 @@ class TestMain:
         assert err.count("\n") == 1 and err.startswith("config error: ") and names in err
         assert not out.exists()
 
+    def test_unallocatable_K_is_a_config_error(self, tmp_path, capsys):
+        # numpy can index this K, but no machine can hold it, so its first array
+        # fails at once; only the allocation decides this, after output_dir exists
+        path = CONFIGS[[p.stem for p in CONFIGS].index("gauss1d")]
+        argv = ["run", str(path), "--sampling", "uniform-random", "--K", "576460752303423488",
+                "--replicates", "1", "--output_dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ") and "allocate" in err
+
     def test_noise_sigma_at_its_bound_gives_finite_rows(self, tmp_path):
         # every sampler kind of the checkmark grid, residual fits included, on
         # targets of order 1e100: the squares of the errors stay finite
@@ -901,23 +920,31 @@ class TestMain:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
     def test_fuzzed_config(self, target, value):
+        # a fuzzed sampler entry also goes to export-weights, on the base config
         data = json.loads(json.dumps(FUZZ_BASE))
         if isinstance(target, int):
             data["samplers"][target] = value
         else:
             data[target] = value
+        runs = [("run", data, [])]
+        if isinstance(target, int):  # "=", as a value may start with "-"
+            flags = [f"--sampler={json.dumps(value)}", "--n", "4"]
+            runs.append(("export-weights", FUZZ_BASE, flags))
         with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out"
-            path = Path(tmp) / "config.json"
-            path.write_text(json.dumps(dict(data, output_dir=str(out))))
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(["run", str(path)])
-            assert code in (0, 1, 2)
-            if code == 1:
-                assert err.getvalue().count("\n") == 1
-                assert err.getvalue().startswith("config error: ")
-                assert not out.exists()
+            for command, config, flags in runs:
+                out = Path(tmp) / command
+                path = Path(tmp) / f"{command}.json"
+                path.write_text(json.dumps(dict(config, output_dir=str(out))))
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([command, str(path), *flags])
+                assert code in (0, 1, 2)
+                if code == 1:
+                    assert err.getvalue().count("\n") == 1
+                    assert err.getvalue().startswith("config error: ")
+                    assert not out.exists()
+                if code == 2 and command == "export-weights":
+                    assert err.getvalue().count("\n") == 1
 
     def test_failed_cells_exit_code(self, tmp_path):
         config_path = small_config(
@@ -1026,6 +1053,22 @@ class TestExportWeights:
         again = export_weights(load_config(config_path), sampler, 20, seed=0)
         assert again.read_text() == text
         assert main(argv[:3] + ['"uniform"', "--n", "5"]) == 0
+
+    def test_cell_error_exits_2_without_weights(self, tmp_path, capsys):
+        # the draw that run records as a delta-zero cell: one line and exit 2,
+        # as run exits, and no weight file
+        config_path = small_config(
+            tmp_path, benchmark="corner_max", d=2, K=300, sampling="uniform-random",
+            samplers=["uniform"], activation={"s": 1, "delta": 0.0},
+        )
+        argv = ["export-weights", str(config_path), "--sampler", '"residual"', "--n", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("draw failed: delta-zero: ")
+        assert list((tmp_path / "out").iterdir()) == []
+        assert main(["run", str(config_path), "--samplers", '["residual"]', "--n_grid", "[20]",
+                     "--replicates", "1"]) == 2
+        assert read_results_csv(tmp_path / "out" / "results.csv")[0]["status"] == "delta-zero"
 
     @pytest.mark.parametrize("n, seed, names", [(0, 0, "n must be"), (5, -1, "seed must be")])
     def test_bad_n_or_seed_rejected(self, tmp_path, capsys, n, seed, names):

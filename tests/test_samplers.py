@@ -17,7 +17,7 @@ from gradfeat.activation import ActivationSpec, PsiTable, eval_bump, make_psi_ta
 from gradfeat.benchmarks import generate_dataset, make_benchmark
 from gradfeat.geometry import NeuronSet
 from gradfeat import cli, samplers
-from gradfeat.cli import ExperimentConfig, parse_sampler_entry
+from gradfeat.cli import ExperimentConfig
 from gradfeat.regression import NonsmoothModelError, RidgeModel, eval_model_gradient, poly_width
 from gradfeat.samplers import (
     AcceptanceCollapseError,
@@ -748,15 +748,15 @@ class TestPilotMargin:
             benchmark=name, d=d, s=s, sampling=sampling, K=1000, n_grid=[25, 100],
             samplers=["integral-density"], replicates=1, test_size=10, master_seed=seed,
         )
-        spec = parse_sampler_entry("integral-density", config)
-        master, psi, datasets = cli._prepare(config, [spec], [0])
-        train = datasets[0][0]
+        (spec,) = config.specs
+        train, _, _, draw_cell = cli._prepare(config, [0])[0]
+        psi = make_psi_table(s - 1, d, config.delta, radius=1.0)  # the bits of the run's table
         proposals = sample_uniform(train, 30_000, np.random.default_rng(seed))
         sup = eval_integral_density(train, psi, proposals.a, proposals.b).max()
         assert sup < samplers.SAFETY * samplers._pilot_peak(train, psi)
         with caplog.at_level(logging.WARNING, logger=samplers.__name__):
             for n in config.n_grid:
-                cli._draw_cell(config, spec.label, spec, datasets, n, 0, psi, master)
+                draw_cell(spec, n)
         assert not [r for r in caplog.records if "envelope violated" in r.getMessage()]
 
 
@@ -845,8 +845,6 @@ class TestSamplerSpec:
             SamplerSpec(kind="residual", base=SamplerSpec(kind="uniform"))
         with pytest.raises(ValueError, match="delta_w"):
             SamplerSpec(kind="nonlocal-gradient", delta_w=True)
-        with pytest.raises(ValueError, match="order_m"):
-            SamplerSpec(kind="integral-density", order_m=True)
 
     def test_one_number_rule_with_the_config(self):
         # a Fraction is no number for the spec, as it is none for the config
@@ -854,11 +852,8 @@ class TestSamplerSpec:
             SamplerSpec(kind="nonlocal-gradient", delta_w=Fraction(1, 20))
         with pytest.raises(cli.ConfigError, match="delta"):
             ExperimentConfig(benchmark="gauss1d", d=1, delta=Fraction(1, 20))
-        with pytest.raises(ValueError, match="order_m"):
-            SamplerSpec(kind="integral-density", order_m=Fraction(1, 1))
         assert SamplerSpec(kind="nonlocal-gradient", delta_w=np.float64(0.05)).delta_w == 0.05
         assert SamplerSpec(kind="nonlocal-gradient", delta_w=np.int64(1)).delta_w == 1
-        assert SamplerSpec(kind="integral-density", order_m=np.int64(1)).order_m == 1
 
     def test_labels(self):
         assert SamplerSpec(kind="uniform").label == "uniform"
