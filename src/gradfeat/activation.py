@@ -144,10 +144,20 @@ class PsiTable:
         if not 0.0 < T < np.inf:
             raise ValueError(f"psi half-width must be finite and > 0, got {T}")
         n = values.size - 1
-        grid = np.append(-T + (2.0 * T / n) * np.arange(n), T)
+        # in place, and the slopes in blocks, so that no full-length
+        # temporary joins the three arrays
+        grid = np.arange(n + 1, dtype=float)
+        grid *= 2.0 * T / n
+        grid += -T
+        grid[-1] = T
+        slope = np.empty(n + 1)
+        slope[-1] = -0.0
+        for lo in range(0, n, 1 << 16):
+            hi = min(lo + (1 << 16), n)
+            np.divide(np.diff(values[lo : hi + 1]), np.diff(grid[lo : hi + 1]), out=slope[lo:hi])
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "slope", np.append(np.diff(values) / np.diff(grid), -0.0))
+        object.__setattr__(self, "slope", slope)
 
 
 def build_psi_table(m: int, d: int, delta: float, T: float) -> PsiTable:

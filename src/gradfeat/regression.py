@@ -9,9 +9,17 @@ every alpha as the filter ``c = V diag(s / (s^2 + K alpha N)) U^T r_fy``
 without squaring the condition number, and the train error as
 ``||r_fy - R_ff c||`` with no K-row product.
 
+Each QR factors its Fortran-ordered design in place through the LAPACK
+``dgeqrf`` of numpy's OpenBLAS (``_blas.geqrf``), with the workspace numpy's
+``qr`` queries, and keeps ``np.triu`` of the leading rows: the bits of
+``np.linalg.qr(A, mode="r")``, which it falls back to where no OpenBLAS is
+found, without that call's three copies of the design.  At 2500 x 302 on one
+BLAS thread (2-vCPU Xeon, OpenBLAS 0.3.31 SkylakeX) it took 15.1 ms against
+20.4 ms.
+
 The polynomial part solves the upper-triangular ``R_pp`` with
 ``np.linalg.solve``, which keeps gradfeat on numpy's one BLAS runtime.  It is
-exact back substitution: ``qr(mode="r")`` stores zeros below the diagonal, so
+exact back substitution: ``R`` holds zeros below the diagonal, so
 LU with partial pivoting never swaps rows (no entry below a pivot is larger
 than zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
 
@@ -44,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .activation import ActivationSpec, eval_activation, eval_bump
 from .geometry import NeuronSet
 
@@ -129,8 +138,7 @@ def _design_block(phi: np.ndarray, y: np.ndarray, n_poly: int) -> np.ndarray:
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite inputs to ridge solve")
     n_neurons = phi.shape[1] - n_poly
-    # Fortran order: the QR copies its input into LAPACK's column-major
-    # layout, which is cheapest from columns that are already contiguous
+    # Fortran order: LAPACK's column-major layout, which the QR factors in place
     A = np.empty((phi.shape[0], phi.shape[1] + 1), order="F")
     A[:, :n_poly] = phi[:, n_neurons:]
     A[:, n_poly:-1] = phi[:, :n_neurons]
@@ -138,16 +146,26 @@ def _design_block(phi: np.ndarray, y: np.ndarray, n_poly: int) -> np.ndarray:
     return A
 
 
+def _qr_r(A: np.ndarray) -> np.ndarray:
+    """``R`` of the Fortran-ordered float64 ``A``, which is overwritten: the
+    bits of ``np.linalg.qr(A, mode="r")`` without its copies of ``A``."""
+    factor = _blas.geqrf()
+    if factor is None:
+        return np.linalg.qr(A, mode="r")
+    factor(A)
+    return np.triu(A[:min(A.shape)])
+
+
 def _stacked_r(rows, K: int, n_poly: int) -> np.ndarray:
     """``R`` of ``[P | F | y]`` over K rows, where ``rows(lo, hi)`` gives the
     ``(phi, y)`` of a row block: one QR per block, then one of the stacked
     block Rs.  A block's features are dropped once its design is copied out,
     and its design once its QR returns."""
-    Rs = [
-        np.linalg.qr(_design_block(*rows(lo, hi), n_poly), mode="r")
-        for lo, hi in _row_blocks(K, ROW_BLOCK)
-    ]
-    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+    Rs = [_qr_r(_design_block(*rows(lo, hi), n_poly)) for lo, hi in _row_blocks(K, ROW_BLOCK)]
+    if len(Rs) == 1:
+        return Rs[0]
+    stacked = np.empty((sum(len(R) for R in Rs), Rs[0].shape[1]), order="F")
+    return _qr_r(np.concatenate(Rs, out=stacked))
 
 
 def _filter_path(R: np.ndarray, K: int, n_poly: int, alphas):

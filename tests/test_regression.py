@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradfeat import _blas, regression
@@ -441,6 +441,82 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+def parent_stacked_r(rows, K, n_poly):
+    """``R`` of the stacked block Rs as ``np.linalg.qr`` gave it before the
+    in-place QR: numpy's copies of each design, and C-ordered stacked Rs."""
+    Rs = [
+        np.linalg.qr(regression._design_block(*rows(lo, hi), n_poly), mode="r")
+        for lo, hi in regression._row_blocks(K, regression.ROW_BLOCK)
+    ]
+    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+
+
+class TestInPlaceQR:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 60),
+        n=st.integers(0, 60),
+        log_scale=st.integers(-600, 600),
+        c_order=st.booleans(),
+    )
+    @example(seed=1, m=1, n=5, log_scale=0, c_order=False)
+    @example(seed=2, m=7, n=0, log_scale=0, c_order=True)
+    @example(seed=3, m=1, n=1, log_scale=-1000, c_order=False)
+    @example(seed=4, m=400, n=302, log_scale=0, c_order=False)
+    @example(seed=5, m=200, n=302, log_scale=0, c_order=True)
+    def test_matches_numpy_qr_bytes(self, seed, m, n, log_scale, c_order):
+        # m >= n and m < n, scales 2**k down to the subnormals' edge, C-ordered
+        # input as np.linalg.qr got the stacked block Rs, and widths past the
+        # 128 columns where LAPACK's dgeqrf starts to block by its workspace
+        A = np.random.default_rng(seed).standard_normal((m, n)) * 2.0**log_scale
+        A = np.ascontiguousarray(A) if c_order else np.asfortranarray(A)
+        ref = np.linalg.qr(A, mode="r")
+        R = regression._qr_r(A.copy(order="F"))
+        assert R.shape == ref.shape and R.flags.c_contiguous == ref.flags.c_contiguous
+        assert R.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("K", [120, 5000])
+    def test_stacked_r_and_its_fallback_match_numpy_qr_bytes(self, monkeypatch, K):
+        # one block, and two blocks whose Rs are stacked and factored again;
+        # then with the binding gone, as where no OpenBLAS is found
+        rng = np.random.default_rng(45)
+        train, neurons = cube_problem(rng, K, 40, 3)
+        n_poly = poly_width(SOFTPLUS, 3)
+
+        def rows(lo, hi):
+            return feature_matrix(train.X[lo:hi], neurons, SOFTPLUS), train.y[lo:hi]
+
+        R = regression._stacked_r(rows, K, n_poly)
+        assert R.tobytes() == parent_stacked_r(rows, K, n_poly).tobytes()
+        monkeypatch.setattr(_blas, "geqrf", lambda: None)  # the one-line fallback
+        assert regression._stacked_r(rows, K, n_poly).tobytes() == R.tobytes()
+
+    def test_binding_found_wherever_openblas_is(self):
+        # a wheel that drops dgeqrf fails here rather than taking numpy's copies
+        assert _blas.threads() is None or _blas.geqrf() is not None
+
+    def test_factoring_a_block_allocates_less_than_half_of_it(self):
+        # np.linalg.qr copies the block first, so it allocates at least its size
+        if _blas.geqrf() is None:
+            pytest.skip("no OpenBLAS dgeqrf found")
+        A = np.asfortranarray(np.random.default_rng(47).standard_normal((2500, 302)))
+        tracemalloc.start()
+        try:
+            regression._qr_r(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes / 2
+
+    def test_binding_refuses_arrays_it_cannot_factor_in_place(self):
+        if _blas.geqrf() is None:
+            pytest.skip("no OpenBLAS dgeqrf found")
+        for A in (np.ones((4, 3)), np.ones((4, 3), dtype=np.float32, order="F")):
+            with pytest.raises(ValueError, match="Fortran-ordered float64"):
+                _blas.geqrf()(A)
 
 
 class TestCrossValidate:
