@@ -337,16 +337,18 @@ def _run_cell(config, label, spec, datasets, n, rep) -> dict:
     return row
 
 
-def run_experiment(config: ExperimentConfig) -> list:
+def run_experiment(config: ExperimentConfig, before_cells=lambda: None) -> list:
     """Run the full grid; returns one row dict per (sampler, N, replicate) cell.
 
-    Cells run on a pool of ``workers`` threads, the largest N first, so that
-    the last cells to finish are small ones.  Once a cell raises, no
-    further cell starts; an interrupt cancels the cells not yet started.  The
-    whole run, set-up and cells, holds numpy's OpenBLAS at one thread
-    (``_blas.one_thread``), so that a cell's bits do not depend on the host's
-    core count and ``workers`` alone sets the parallelism.  The count is
-    process-wide; it is restored when the last of the runs in flight returns.
+    ``before_cells()`` runs once the set-up succeeds (``gradfeat run`` makes
+    ``output_dir`` there, so that a failed set-up leaves none).  Cells run on
+    a pool of ``workers`` threads, the largest N first, so that the last cells
+    to finish are small ones.  Once a cell raises, no further cell starts; an
+    interrupt cancels the cells not yet started.  The whole run, set-up and
+    cells, holds numpy's OpenBLAS at one thread (``_blas.one_thread``), so that
+    a cell's bits do not depend on the host's core count and ``workers`` alone
+    sets the parallelism.  The count is process-wide; it is restored when the
+    last of the runs in flight returns.
     """
     cells = sorted(
         itertools.product(config.specs, config.n_grid, range(config.replicates)),
@@ -354,6 +356,7 @@ def run_experiment(config: ExperimentConfig) -> list:
     )
     with _blas.one_thread():
         datasets = _prepare(config, range(config.replicates))
+        before_cells()
 
         stop = threading.Event()  # a worker can take a cell before map cancels it
 
@@ -458,9 +461,9 @@ def export_weights(config: ExperimentConfig, sampler, n: int, seed: int) -> Path
     config = replace(config, samplers=[sampler])
     (spec,) = config.specs
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)  # before the draw, which it could waste
     with _blas.one_thread():  # as in run_experiment: the draws read BLAS results
         *_, draw_cell = _prepare(config, [seed])[seed]
+        outdir.mkdir(parents=True, exist_ok=True)  # after the set-up, before the draw
         neurons, _ = draw_cell(spec, n)
     path = outdir / f"weights_{spec.label}_N{n}_seed{seed}.txt"
     export_weights_text(neurons, path)
@@ -543,8 +546,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             config = load_config(args.config, args)
             outdir = Path(config.output_dir)
-            outdir.mkdir(parents=True, exist_ok=True)  # before the grid, which it could waste
-            rows = run_experiment(config)
+            rows = run_experiment(config, lambda: outdir.mkdir(parents=True, exist_ok=True))
             path = outdir / "results.csv"
             write_results_csv(rows, path)
             failed = sum(r["status"] != "ok" for r in rows)

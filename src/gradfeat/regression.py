@@ -9,19 +9,17 @@ every alpha as the filter ``c = V diag(s / (s^2 + K alpha N)) U^T r_fy``
 without squaring the condition number, and the train error as
 ``||r_fy - R_ff c||`` with no K-row product.
 
-Each QR factors its Fortran-ordered design in place through the LAPACK
-``dgeqrf`` of numpy's OpenBLAS (``_blas.geqrf``), with the workspace numpy's
-``qr`` queries, and keeps ``np.triu`` of the leading rows: the bits of
-``np.linalg.qr(A, mode="r")``, which it falls back to where no OpenBLAS is
-found, without that call's three copies of the design.  At 2500 x 302 on one
-BLAS thread (2-vCPU Xeon, OpenBLAS 0.3.31 SkylakeX) it took 15.1 ms against
-20.4 ms.
+Each QR runs the LAPACK ``dgeqrt`` of numpy's OpenBLAS in place on its
+Fortran-ordered design (``_blas.geqrt``) and keeps ``np.triu`` of the leading
+rows.  The fallback ``np.linalg.qr(A, mode="r")`` copies the design three
+times and runs ``dgeqrf``, whose last 128 columns are unblocked: 2.1x slower
+at 2000 x 152 (``_blas``).  Their Rs differ only by rounding and row signs.
 
 The polynomial part solves the upper-triangular ``R_pp`` with
 ``np.linalg.solve``, which keeps gradfeat on numpy's one BLAS runtime.  It is
-exact back substitution: ``R`` holds zeros below the diagonal, so
-LU with partial pivoting never swaps rows (no entry below a pivot is larger
-than zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
+exact back substitution: ``R`` holds zeros below the diagonal, so LU with
+partial pivoting never swaps rows (no entry below a pivot is larger than
+zero), ``L`` is the identity and ``U`` is ``R_pp`` itself.
 
 No fit or prediction builds the features of more than ``ROW_BLOCK`` (2,500)
 rows at once.  ``_row_blocks(n, size)`` splits n rows into ``ceil(n / size)``
@@ -38,11 +36,9 @@ predictions are written block by block into one array, which is reduced
 once, so no sum changes its order; the blocks also give the bits of the
 whole product wherever OpenBLAS rounds ``X @ a^T`` the same for any row
 count (on SkylakeX kernels up to 192 neurons, and above that at some widths
-only).  On one BLAS thread (2-vCPU Xeon, OpenBLAS 0.3.31 SkylakeX) the QR of
-a 5000 x 153 design took 44.3 ms whole and 33.5 ms in two blocks, and of a
-5000 x 303 design 81.6 and 75.9 ms; four blocks took 31.4 and 80.0 ms and
-eight 36.6 and 117.5 ms.  Blocks of 2,500 rows also bound a cell's feature
-arrays: ``cross_validate`` at K=5000, d=8, N=300 peaked at 13.8 MB
+only).  Two blocks were also faster: ``np.linalg.qr`` took 33.5 against
+44.3 ms at 5000 x 153 on one BLAS thread.  The blocks also bound a cell's
+feature arrays: ``cross_validate`` at K=5000, d=8, N=300 peaked at 13.8 MB
 (tracemalloc) against 49.1 MB for whole matrices.
 """
 
@@ -147,9 +143,9 @@ def _design_block(phi: np.ndarray, y: np.ndarray, n_poly: int) -> np.ndarray:
 
 
 def _qr_r(A: np.ndarray) -> np.ndarray:
-    """``R`` of the Fortran-ordered float64 ``A``, which is overwritten: the
-    bits of ``np.linalg.qr(A, mode="r")`` without its copies of ``A``."""
-    factor = _blas.geqrf()
+    """``R`` of the Fortran-ordered float64 ``A``, which is overwritten, by
+    ``dgeqrt`` in place, or by ``np.linalg.qr`` where it is not found."""
+    factor = _blas.geqrt()
     if factor is None:
         return np.linalg.qr(A, mode="r")
     factor(A)

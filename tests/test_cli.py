@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -100,8 +100,8 @@ CONFIG_ERRORS_BEFORE_OUTPUT = [
 
 # The CLI fuzz: a small valid grid with one field or one sampler entry replaced
 # by a random JSON value.  The leaves stay small, so that a grid the value
-# leaves valid stays tiny.  No integral-density entry: a delta that stops its
-# psi table from decaying is only found once the table is built.
+# leaves valid stays tiny.  No integral-density entry: a psi table that does
+# not decay needs a tiny delta as well, two replaced fields (a named test).
 FUZZ_BASE = {
     "benchmark": "checkmark",
     "d": 3,
@@ -111,6 +111,9 @@ FUZZ_BASE = {
     "samplers": ["uniform", "nonlocal-gradient", {"kind": "residual", "base": "local-gradient"}],
     "test_size": 20,
 }
+# The Heaviside activation, on which a residual draw fails: its model has no
+# gradient.  A nonlocal entry would be a config error there (delta_w = 2 delta).
+FUZZ_HEAVISIDE = dict(FUZZ_BASE, samplers=["uniform"], activation={"s": 1, "delta": 0.0})
 FUZZ_LEAVES = (
     st.integers(-2, 64) | st.floats() | st.text(max_size=4) | st.booleans() | st.none()
     | st.sampled_from(sorted(KIND_FIELDS))  # so that a sampler entry can be valid
@@ -657,10 +660,11 @@ class TestMain:
         assert len(rows) == 2
 
     def test_output_dir_that_is_a_file(self, tmp_path, capsys, monkeypatch):
-        # the output directory is made before the grid, so no cell runs in vain
+        # the output directory is made after the set-up but before the grid,
+        # so no cell runs in vain
         out = tmp_path / "out"
         out.write_text("")
-        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("grid ran"))
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: pytest.fail("a cell ran"))
         assert main(["run", str(small_config(tmp_path))]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -904,13 +908,28 @@ class TestMain:
 
     def test_unallocatable_K_is_a_config_error(self, tmp_path, capsys):
         # numpy can index this K, but no machine can hold it, so its first array
-        # fails at once; only the allocation decides this, after output_dir exists
+        # fails at once; only the allocation decides this, in the set-up
         path = CONFIGS[[p.stem for p in CONFIGS].index("gauss1d")]
         argv = ["run", str(path), "--sampling", "uniform-random", "--K", "576460752303423488",
                 "--replicates", "1", "--output_dir", str(tmp_path / "out")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: ") and "allocate" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-weights"])
+    def test_psi_table_failure_creates_no_output_dir(self, tmp_path, capsys, command):
+        # only building the table decides that it cannot decay, in the set-up
+        path = CONFIGS[[p.stem for p in CONFIGS].index("gauss1d")]
+        argv = [command, str(path), "--activation.delta", "1e-300",
+                "--output_dir", str(tmp_path / "out")]
+        if command == "export-weights":
+            argv += ["--sampler", "integral-density", "--n", "4"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: psi table for ")
+        assert "does not decay" in err
+        assert not (tmp_path / "out").exists()
 
     def test_noise_sigma_at_its_bound_gives_finite_rows(self, tmp_path):
         # every sampler kind of the checkmark grid, residual fits included, on
@@ -927,10 +946,12 @@ class TestMain:
 
     def test_fuzzed_config(self):
         # a fuzzed sampler entry also goes to export-weights, on the base config
+        # and on it at delta 0, where a residual draw fails (draw failed, exit 2)
         export_codes = []
 
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(target=st.sampled_from(FUZZ_TARGETS), value=FUZZ_VALUES)
+        @example(target=0, value="residual")  # the random examples reach it by chance
         def fuzz(target, value):
             data = json.loads(json.dumps(FUZZ_BASE))
             if isinstance(target, int):
@@ -939,12 +960,14 @@ class TestMain:
                 data[target] = value
             runs = [("run", data, [])]
             if isinstance(target, int):  # "=", as a value may start with "-"
-                flags = [f"--sampler={json.dumps(value)}", "--n", "4"]
+                # 12 neurons: past a residual's first stage of 8, whose model gradient fails
+                flags = [f"--sampler={json.dumps(value)}", "--n", "12"]
                 runs.append(("export-weights", FUZZ_BASE, flags))
+                runs.append(("export-weights", FUZZ_HEAVISIDE, flags))
             with tempfile.TemporaryDirectory() as tmp:
-                for command, config, flags in runs:
-                    out = Path(tmp) / command
-                    path = Path(tmp) / f"{command}.json"
+                for i, (command, config, flags) in enumerate(runs):
+                    out = Path(tmp) / f"{command}{i}"
+                    path = Path(tmp) / f"{command}{i}.json"
                     path.write_text(json.dumps(dict(config, output_dir=str(out))))
                     err = io.StringIO()
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -958,9 +981,11 @@ class TestMain:
                         export_codes.append(code)
                         if code == 2:
                             assert err.getvalue().count("\n") == 1
+                            assert err.getvalue().startswith("draw failed: ")
 
         fuzz()
         assert 0 in export_codes  # the export leg leaves the config-error path
+        assert 2 in export_codes  # and reaches a failed draw
 
     def test_failed_cells_exit_code(self, tmp_path):
         config_path = small_config(

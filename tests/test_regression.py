@@ -1,9 +1,13 @@
+import ctypes
+import os
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -259,7 +263,7 @@ class TestRidgeProperties:
         y = rng.standard_normal(K)
         coefs, _ = _ridge_path(np.hstack([F, P]), y, DEFAULT_ALPHA_GRID, p)
 
-        R = np.linalg.qr(np.hstack([P, F, y[:, None]]), mode="r")
+        R = regression._qr_r(np.asfortranarray(np.hstack([P, F, y[:, None]])))
         R_pp = R[:p, :p]
         assert np.all(np.tril(R_pp, -1) == 0.0)
         ref = scipy.linalg.solve_triangular(R_pp, R[:p, -1:] - R[:p, p:-1] @ coefs[:N])
@@ -321,7 +325,7 @@ class TestRidgeProperties:
 def single_qr_path(phi, y, alphas, p):
     """The ridge path from one QR of the whole ``[P | F | y]``, without row blocks."""
     K, n = phi.shape[0], phi.shape[1] - p
-    R = np.linalg.qr(np.hstack([phi[:, n:], phi[:, :n], y[:, None]]), mode="r")
+    R = regression._qr_r(np.asfortranarray(np.hstack([phi[:, n:], phi[:, :n], y[:, None]])))
     R_ff, r_fy = R[p:, p:-1], R[p:, -1]
     U, sv, Vt = np.linalg.svd(R_ff, full_matrices=False)
     filt = sv[:, None] / (sv[:, None] ** 2 + K * n * alphas)
@@ -443,14 +447,72 @@ class TestRowBlocks:
         assert peak < 24e6
 
 
-def parent_stacked_r(rows, K, n_poly):
-    """``R`` of the stacked block Rs as ``np.linalg.qr`` gave it before the
-    in-place QR: numpy's copies of each design, and C-ordered stacked Rs."""
+def scipy_openblas_threads():
+    """``(get, set)`` thread-count functions of the OpenBLAS in scipy's wheel,
+    found as ``_blas`` finds numpy's but by its LP64 names, or ``None``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {f[5].strip() for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextmanager
+def both_blas_on_one_thread():
+    """numpy's and scipy's OpenBLAS pinned to one thread each, then restored:
+    a blocked QR's bits depend on the threads its dgemm runs on."""
+    if _blas.geqrt() is None:
+        pytest.skip("no OpenBLAS dgeqrt found")
+    found = scipy_openblas_threads()
+    if found is None:
+        pytest.skip("scipy's OpenBLAS not found")
+    get, set_ = found
+    saved = get()
+    set_(1)
+    try:
+        with _blas.one_thread():
+            yield
+    finally:
+        set_(saved)
+
+
+def dgeqrt_r(A):
+    """``R`` of ``A`` by scipy's LAPACK ``dgeqrt`` at the panel width of ``_blas``."""
+    k = min(A.shape)
+    return np.triu((scipy.linalg.lapack.dgeqrt(min(32, k), A)[0] if k else A)[:k])
+
+
+def dgeqrt_stacked_r(rows, K, n_poly):
+    """``R`` of the stacked block Rs, each factored by scipy's ``dgeqrt``."""
     Rs = [
-        np.linalg.qr(regression._design_block(*rows(lo, hi), n_poly), mode="r")
+        dgeqrt_r(regression._design_block(*rows(lo, hi), n_poly))
         for lo, hi in regression._row_blocks(K, regression.ROW_BLOCK)
     ]
-    return Rs[0] if len(Rs) == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+    return Rs[0] if len(Rs) == 1 else dgeqrt_r(np.vstack(Rs))
+
+
+# R^T R = A^T A for every R factor of A, whatever the signs of its rows, and a
+# backward-stable QR keeps it to a few eps of max|R|^2 at any condition number,
+# while the trailing rows of R itself move with the condition number.  The worst
+# against np.linalg.qr's dgeqrf was 12 eps over 4,000 random matrices of this
+# test's space, and 8 eps on the stacked design below
+R_TOL = 64 * np.finfo(float).eps
+
+
+def assert_same_r_up_to_row_signs(R, ref):
+    """``R^T R = ref^T ref`` within ``R_TOL`` of ``max|ref|^2``, normwise."""
+    assert R.shape == ref.shape
+    if ref.size:
+        top = np.abs(ref).max()  # scaled to 1, so that no square over- or underflows
+        R, ref = R / top, ref / top
+        assert np.abs(R.T @ R - ref.T @ ref).max() <= R_TOL
 
 
 class TestInPlaceQR:
@@ -469,19 +531,26 @@ class TestInPlaceQR:
     @example(seed=5, m=200, n=302, log_scale=0, c_order=True)
     def test_matches_numpy_qr_bytes(self, seed, m, n, log_scale, c_order):
         # m >= n and m < n, scales 2**k down to the subnormals' edge, C-ordered
-        # input as np.linalg.qr got the stacked block Rs, and widths past the
-        # 128 columns where LAPACK's dgeqrf starts to block by its workspace
+        # input as the stacked block Rs once were, and widths past the 128
+        # columns where np.linalg.qr's dgeqrf stops blocking.  The bytes are
+        # those of LAPACK's dgeqrt in scipy's OpenBLAS; np.linalg.qr agrees
+        # up to the signs of R's rows and rounding
         A = np.random.default_rng(seed).standard_normal((m, n)) * 2.0**log_scale
         A = np.ascontiguousarray(A) if c_order else np.asfortranarray(A)
-        ref = np.linalg.qr(A, mode="r")
-        R = regression._qr_r(A.copy(order="F"))
+        with both_blas_on_one_thread():
+            ref = dgeqrt_r(A)
+            R = regression._qr_r(A.copy(order="F"))
         assert R.shape == ref.shape and R.flags.c_contiguous == ref.flags.c_contiguous
         assert R.tobytes() == ref.tobytes()
+        assert_same_r_up_to_row_signs(R, np.linalg.qr(A, mode="r"))
 
     @pytest.mark.parametrize("K", [120, 5000])
     def test_stacked_r_and_its_fallback_match_numpy_qr_bytes(self, monkeypatch, K):
-        # one block, and two blocks whose Rs are stacked and factored again;
-        # then with the binding gone, as where no OpenBLAS is found
+        # one block, and two blocks whose Rs are stacked and factored again,
+        # by the bytes of scipy's dgeqrt; then with the binding gone, as where
+        # no OpenBLAS is found, np.linalg.qr.  The design's condition number
+        # is 3e10 at K=120: the trailing rows of the two Rs differ by up to
+        # 1.2e7 eps of max|R|, while their Gram matrices agree
         rng = np.random.default_rng(45)
         train, neurons = cube_problem(rng, K, 40, 3)
         n_poly = poly_width(SOFTPLUS, 3)
@@ -489,19 +558,20 @@ class TestInPlaceQR:
         def rows(lo, hi):
             return feature_matrix(train.X[lo:hi], neurons, SOFTPLUS), train.y[lo:hi]
 
-        R = regression._stacked_r(rows, K, n_poly)
-        assert R.tobytes() == parent_stacked_r(rows, K, n_poly).tobytes()
-        monkeypatch.setattr(_blas, "geqrf", lambda: None)  # the one-line fallback
-        assert regression._stacked_r(rows, K, n_poly).tobytes() == R.tobytes()
+        with both_blas_on_one_thread():
+            R = regression._stacked_r(rows, K, n_poly)
+            assert R.tobytes() == dgeqrt_stacked_r(rows, K, n_poly).tobytes()
+        monkeypatch.setattr(_blas, "geqrt", lambda: None)  # the one-line fallback
+        assert_same_r_up_to_row_signs(regression._stacked_r(rows, K, n_poly), R)
 
     def test_binding_found_wherever_openblas_is(self):
-        # a wheel that drops dgeqrf fails here rather than taking numpy's copies
-        assert _blas.threads() is None or _blas.geqrf() is not None
+        # a wheel that drops dgeqrt fails here rather than taking numpy's copies
+        assert _blas.threads() is None or _blas.geqrt() is not None
 
     def test_factoring_a_block_allocates_less_than_half_of_it(self):
         # np.linalg.qr copies the block first, so it allocates at least its size
-        if _blas.geqrf() is None:
-            pytest.skip("no OpenBLAS dgeqrf found")
+        if _blas.geqrt() is None:
+            pytest.skip("no OpenBLAS dgeqrt found")
         A = np.asfortranarray(np.random.default_rng(47).standard_normal((2500, 302)))
         tracemalloc.start()
         try:
@@ -512,11 +582,11 @@ class TestInPlaceQR:
         assert peak < A.nbytes / 2
 
     def test_binding_refuses_arrays_it_cannot_factor_in_place(self):
-        if _blas.geqrf() is None:
-            pytest.skip("no OpenBLAS dgeqrf found")
+        if _blas.geqrt() is None:
+            pytest.skip("no OpenBLAS dgeqrt found")
         for A in (np.ones((4, 3)), np.ones((4, 3), dtype=np.float32, order="F")):
             with pytest.raises(ValueError, match="Fortran-ordered float64"):
-                _blas.geqrf()(A)
+                _blas.geqrt()(A)
 
 
 class TestCrossValidate:
